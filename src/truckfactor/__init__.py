@@ -31,13 +31,12 @@ from .authorship import (
 from .errors import (
     BlameFailed,
     DivisionUndefined,
-    EmptyMap,
     EmptyRepository,
     GitInvocationFailed,
     NotARepository,
     TruckFactorError,
 )
-from .estimate import RemovalStep, TruckFactorResult, coverage, top_author, truck_factor
+from .estimate import RemovalStep, TruckFactorResult, truck_factor
 from .filters import FilterRules, builtin_patterns, compile_glob
 from .history import (
     ChangeEvent,
@@ -71,7 +70,6 @@ __all__ = [
     "ChangeKind",
     "DeveloperId",
     "DivisionUndefined",
-    "EmptyMap",
     "EmptyRepository",
     "FileTrace",
     "FilterRules",
@@ -91,7 +89,6 @@ __all__ = [
     "check_migration",
     "collect_history",
     "compile_glob",
-    "coverage",
     "doa",
     "emit",
     "levenshtein",
@@ -104,7 +101,6 @@ __all__ = [
     "run",
     "score_trace",
     "select_authors",
-    "top_author",
     "trace_files",
     "truck_factor",
     "__version__",

@@ -29,7 +29,3 @@ class BlameFailed(TruckFactorError):
 
 class DivisionUndefined(TruckFactorError):
     """A ratio was requested over an empty denominator."""
-
-
-class EmptyMap(TruckFactorError):
-    """An operation needed at least one author in the map."""

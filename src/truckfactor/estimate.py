@@ -10,11 +10,11 @@ before the project is in trouble".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .authorship import AuthorFileMap
-from .errors import DivisionUndefined, EmptyMap
 from .identity import DeveloperId
 
 
@@ -36,24 +36,6 @@ class TruckFactorResult:
     file_universe_size: int
 
 
-def coverage(universe: Iterable[str], author_map: AuthorFileMap) -> float:
-    """Fraction of the universe that still has an author in the map."""
-    files = set(universe)
-    if not files:
-        raise DivisionUndefined("coverage is undefined over an empty file universe")
-    return len(author_map.all_files() & files) / len(files)
-
-
-def top_author(author_map: AuthorFileMap) -> DeveloperId:
-    """The author with the most files; ties go to the smallest canonical name."""
-    if not author_map.entries:
-        raise EmptyMap("the author map has no authors to pick from")
-    return min(
-        author_map.entries,
-        key=lambda dev: (-len(author_map.entries[dev]), dev.canonical_name),
-    )
-
-
 def truck_factor(
     author_map: AuthorFileMap,
     threshold: float = 0.5,
@@ -65,24 +47,31 @@ def truck_factor(
     explicit one (e.g. every analyzed file) to measure coverage against a
     larger denominator. An empty universe, or an initial coverage already
     below the threshold, yields a truck factor of zero.
+
+    Removing an author never changes anyone else's files, so the greedy
+    order is fixed up front: most files first, ties to the smallest
+    canonical name. A per-file count of remaining authors tells when a file
+    loses its last one.
     """
-    remaining = AuthorFileMap(
-        {dev: set(files) for dev, files in author_map.entries.items()}
-    )
     files = frozenset(universe) if universe is not None else frozenset(
-        remaining.all_files()
+        author_map.all_files()
     )
     if not files:
         return TruckFactorResult(0, [], 0.0, 0)
-    initial = coverage(files, remaining)
+    holders = Counter(f for authored in author_map.entries.values() for f in authored)
+    covered = len(files & holders.keys())
+    initial = covered / len(files)
+    order = sorted(
+        author_map.entries.items(),
+        key=lambda entry: (-len(entry[1]), entry[0].canonical_name),
+    )
     removed: list[RemovalStep] = []
-    current = initial
-    while remaining.entries:
-        if current < threshold:
+    for departing, authored in order:
+        if covered / len(files) < threshold:
             break
-        departing = top_author(remaining)
-        authored = len(remaining.entries[departing])
-        del remaining.entries[departing]
-        current = coverage(files, remaining)
-        removed.append(RemovalStep(departing, authored, current))
+        for f in authored:
+            holders[f] -= 1
+            if not holders[f] and f in files:
+                covered -= 1
+        removed.append(RemovalStep(departing, len(authored), covered / len(files)))
     return TruckFactorResult(len(removed), removed, initial, len(files))

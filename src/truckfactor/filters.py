@@ -88,12 +88,8 @@ def _parse_lines(text: str) -> list[str]:
 
 
 def load_pattern_file(path: str | Path) -> list[str]:
-    """Read glob patterns from a file: one per line, ``#`` comments, UTF-8."""
-    return _parse_lines(Path(path).read_text(encoding="utf-8"))
-
-
-def load_path_file(path: str | Path) -> list[str]:
-    """Read explicit repository paths to ignore; same format as patterns."""
+    """Read glob patterns or explicit paths from a file: one per line,
+    ``#`` comments and blank lines skipped, UTF-8."""
     return _parse_lines(Path(path).read_text(encoding="utf-8"))
 
 
@@ -127,19 +123,24 @@ class FilterRules:
     builtin_vendored: list[str] = field(default_factory=builtin_patterns)
 
     def __post_init__(self) -> None:
-        self._compiled = [
-            compile_glob(p) for p in [*self.ignore_globs, *self.builtin_vendored]
-        ]
-        self._prefixes = tuple(
+        alternatives = "|".join(
+            f"(?:{compile_glob(g).pattern})"
+            for g in [*self.ignore_globs, *self.builtin_vendored]
+        )
+        # An empty alternation matches every path, so no globs means no regex.
+        self._regex = re.compile(alternatives) if alternatives else None
+        self._paths = frozenset(
             p.strip().strip("/") for p in self.ignore_paths if p.strip().strip("/")
         )
 
     def matches(self, path: str) -> bool:
         """True when ``path`` should be excluded from the analysis."""
-        for prefix in self._prefixes:
-            if path == prefix or path.startswith(prefix + "/"):
+        end = len(path)
+        while self._paths and end > 0:  # the path itself, then each ancestor
+            if path[:end] in self._paths:
                 return True
-        return any(rx.match(path) for rx in self._compiled)
+            end = path.rfind("/", 0, end)
+        return self._regex is not None and self._regex.match(path) is not None
 
     @classmethod
     def none(cls) -> "FilterRules":

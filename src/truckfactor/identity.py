@@ -10,6 +10,10 @@ names are within Levenshtein distance one of each other, and the merge is
 transitive: A~B and B~C puts all three together even if A and C look nothing
 alike.
 
+Close names come from a FastSS deletion index (Bocek, Hunt and Stiller,
+2007) instead of pairwise comparison, so the cost grows with the total
+length of the names, not with the square of their number.
+
 Automatic distance-one merging is heuristic and occasionally wrong ("Sara"
 and "Sarah" may be two people), so callers can suspend it and inspect the
 would-be merges via :func:`name_merge_candidates`, or pin decisions with an
@@ -21,8 +25,9 @@ from __future__ import annotations
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 @dataclass(frozen=True, order=True)
@@ -99,22 +104,29 @@ class _UnionFind:
         return [frozenset(group) for _, group in sorted(members.items())]
 
 
-def _close_name_pairs(names: list[str]) -> Iterator[tuple[str, str]]:
+def _close_name_pairs(names: Iterable[str]) -> list[tuple[str, str]]:
     """Pairs of distinct folded names at Levenshtein distance exactly one.
 
-    Names whose lengths differ by two or more cannot be within distance one,
-    so only same-length and length±1 buckets are compared.
+    A FastSS deletion index (Bocek, Hunt and Stiller, "Fast Similarity
+    Search in Large Dictionaries", 2007) finds them without comparing names.
+    Each name is filed under ``(i, name minus its i-th character)``; names
+    sharing a bucket differ by one substitution at ``i``. The position keeps
+    the transposition "ab"/"ba", which shares the deletions "a" and "b", from
+    passing for distance one. A name equal to a deletion of a longer name is
+    one insertion away from it. Pairs are sorted by ``(len(a), a, len(b), b)``.
     """
-    by_len: dict[int, list[str]] = defaultdict(list)
-    for name in names:
-        by_len[len(name)].append(name)
-    for length in sorted(by_len):
-        bucket = by_len[length]
-        candidates = bucket + by_len.get(length + 1, [])
-        for i, name_a in enumerate(bucket):
-            for name_b in candidates[i + 1 :]:
-                if levenshtein(name_a, name_b) == 1:
-                    yield name_a, name_b
+    known = set(names)
+    buckets: dict[tuple[int, str], list[str]] = defaultdict(list)
+    pairs: set[tuple[str, str]] = set()
+    for name in known:
+        for i in range(len(name)):
+            deleted = name[:i] + name[i + 1 :]
+            buckets[i, deleted].append(name)
+            if deleted in known:
+                pairs.add((deleted, name))
+    for bucket in buckets.values():
+        pairs.update(combinations(sorted(bucket), 2))
+    return sorted(pairs, key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]))
 
 
 def _override_target(user: RawUser, overrides: Mapping[str, str]) -> str | None:
@@ -181,7 +193,7 @@ def resolve_aliases(
         for other in group[1:]:
             uf.union(group[0], other)
     if merge_similar_names:
-        for name_a, name_b in _close_name_pairs(sorted(by_name)):
+        for name_a, name_b in _close_name_pairs(by_name):
             uf.union(by_name[name_a][0], by_name[name_b][0])
 
     forced: dict[RawUser, str] = {}
@@ -216,7 +228,7 @@ def name_merge_candidates(users: Iterable[RawUser]) -> list[tuple[RawUser, RawUs
         by_name[fold_name(user.name)].append(user)
     return [
         (by_name[a][0], by_name[b][0])
-        for a, b in _close_name_pairs(sorted(by_name))
+        for a, b in _close_name_pairs(by_name)
     ]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import authorship, estimate, history, identity
 from .errors import BlameFailed
-from .filters import FilterRules, load_path_file, load_pattern_file
+from .filters import FilterRules, load_pattern_file
 from .report import (
     SCHEMA_VERSION,
     AliasCandidate,
@@ -61,7 +61,7 @@ def _validate(config: AnalysisConfig) -> None:
 
 def _build_rules(config: AnalysisConfig) -> FilterRules:
     globs = load_pattern_file(config.patterns_file) if config.patterns_file else []
-    paths = load_path_file(config.ignore_file) if config.ignore_file else []
+    paths = load_pattern_file(config.ignore_file) if config.ignore_file else []
     return FilterRules(ignore_globs=globs, ignore_paths=paths)
 
 

@@ -5,8 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from truckfactor.authorship import AuthorFileMap
-from truckfactor.errors import DivisionUndefined, EmptyMap
-from truckfactor.estimate import coverage, top_author, truck_factor
+from truckfactor.estimate import truck_factor
 from truckfactor.identity import DeveloperId, RawUser
 
 
@@ -18,14 +17,15 @@ def make_map(entries):
     return AuthorFileMap({dev(name): set(files) for name, files in entries.items()})
 
 
-def naive_truck_factor(entries, threshold=0.5):
+def naive_truck_factor(entries, threshold=0.5, universe=None):
     """Straight transcription of the greedy procedure, kept deliberately
     dumb: recompute everything each round, remove the author with the most
     files (ties by name), stop when coverage drops below the threshold."""
     authors = {name: set(files) for name, files in entries.items()}
-    universe = set()
-    for files in authors.values():
-        universe |= files
+    if universe is None:
+        universe = set()
+        for files in authors.values():
+            universe |= files
     tf = 0
     while authors:
         if not universe:
@@ -41,49 +41,29 @@ def naive_truck_factor(entries, threshold=0.5):
     return tf
 
 
-# --- coverage ----------------------------------------------------------------
+# --- initial coverage ------------------------------------------------------
 
 
 def test_coverage_counts_covered_fraction():
     author_map = make_map({"a": {"f1", "f2"}, "b": {"f3"}})
-    assert coverage({"f1", "f2", "f3", "f4"}, author_map) == 0.75
+    result = truck_factor(author_map, universe={"f1", "f2", "f3", "f4"})
+    assert result.initial_coverage == 0.75
 
 
 def test_coverage_of_empty_map_is_zero():
-    assert coverage({"f1"}, AuthorFileMap({})) == 0.0
+    result = truck_factor(AuthorFileMap({}), universe={"f1"})
+    assert result.initial_coverage == 0.0
+    assert result.tf == 0
 
 
 def test_coverage_counts_shared_files_once():
     author_map = make_map({"a": {"f1"}, "b": {"f1"}})
-    assert coverage({"f1", "f2"}, author_map) == 0.5
+    assert truck_factor(author_map, universe={"f1", "f2"}).initial_coverage == 0.5
 
 
 def test_coverage_ignores_files_outside_the_universe():
     author_map = make_map({"a": {"elsewhere"}})
-    assert coverage({"f1"}, author_map) == 0.0
-
-
-def test_coverage_rejects_empty_universe():
-    with pytest.raises(DivisionUndefined):
-        coverage(set(), make_map({"a": {"f1"}}))
-
-
-# --- top_author ----------------------------------------------------------------
-
-
-def test_top_author_picks_most_files():
-    author_map = make_map({"a": {"f1", "f2", "f3"}, "b": {"f4", "f5"}})
-    assert top_author(author_map).canonical_name == "a"
-
-
-def test_top_author_breaks_ties_by_name():
-    author_map = make_map({"bob": {"f1", "f2"}, "alice": {"f3", "f4"}})
-    assert top_author(author_map).canonical_name == "alice"
-
-
-def test_top_author_rejects_empty_map():
-    with pytest.raises(EmptyMap):
-        top_author(AuthorFileMap({}))
+    assert truck_factor(author_map, universe={"f1"}).initial_coverage == 0.0
 
 
 # --- truck_factor ----------------------------------------------------------------
@@ -106,6 +86,12 @@ def test_truck_factor_dominant_author_falls_fast():
     assert result.tf == 1
     assert result.removed[0].developer.canonical_name == "a"
     assert result.removed[0].coverage_after == pytest.approx(3 / 9)
+
+
+def test_truck_factor_removes_the_smallest_name_among_equal_counts():
+    author_map = make_map({"bob": {"f1", "f2"}, "alice": {"f3", "f4"}, "carl": {"f5"}})
+    result = truck_factor(author_map, threshold=0.1)
+    assert [s.developer.canonical_name for s in result.removed] == ["alice", "bob", "carl"]
 
 
 def test_truck_factor_disjoint_single_files():
@@ -158,11 +144,22 @@ def _random_entries(rng, max_authors=6, max_files=8):
 
 def test_truck_factor_matches_naive_simulation_on_random_maps():
     rng = random.Random(1234)
-    for _ in range(300):
+    for _ in range(1000):
         entries = _random_entries(rng)
         expected = naive_truck_factor(entries)
         result = truck_factor(make_map(entries))
         assert result.tf == expected, entries
+
+
+def test_truck_factor_matches_naive_simulation_with_explicit_universe():
+    rng = random.Random(4321)
+    for _ in range(1000):
+        entries = _random_entries(rng)
+        # Files f8 and up are never authored; some authored files fall outside.
+        universe = set(rng.sample([f"f{i}" for i in range(12)], rng.randint(1, 12)))
+        expected = naive_truck_factor(entries, universe=universe)
+        result = truck_factor(make_map(entries), universe=universe)
+        assert result.tf == expected, (entries, universe)
 
 
 @given(st.dictionaries(

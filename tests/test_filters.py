@@ -2,13 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from truckfactor.filters import (
-    FilterRules,
-    builtin_patterns,
-    compile_glob,
-    load_path_file,
-    load_pattern_file,
-)
+from truckfactor.filters import FilterRules, builtin_patterns, compile_glob, load_pattern_file
 
 
 @pytest.mark.parametrize(
@@ -58,13 +52,14 @@ def test_explicit_paths_match_exactly_or_as_directory_prefix():
     rules = FilterRules(ignore_paths=["Library/Formula"], builtin_vendored=[])
     assert rules.matches("Library/Formula")
     assert rules.matches("Library/Formula/wget.rb")
+    assert rules.matches("Library/Formula/sub/dir/wget.rb")
     assert not rules.matches("Library/Formulae/wget.rb")
     assert not rules.matches("Library")
 
 
 def test_empty_rules_keep_everything():
     rules = FilterRules.none()
-    for path in ["vendor/lib.js", "docs/index.md", "src/main.c"]:
+    for path in ["vendor/lib.js", "docs/index.md", "src/main.c", "", "a"]:
         assert not rules.matches(path)
 
 
@@ -96,9 +91,8 @@ def test_builtin_patterns_load_from_package_data():
 
 def test_pattern_and_path_files_share_the_line_format(tmp_path):
     listing = tmp_path / "rules.txt"
-    listing.write_text("# comment\n\n*.gen.go\nbuild/**\n", encoding="utf-8")
+    listing.write_text("# comment\n\n  *.gen.go  \nbuild/**\n# tail\n", encoding="utf-8")
     assert load_pattern_file(listing) == ["*.gen.go", "build/**"]
-    assert load_path_file(listing) == ["*.gen.go", "build/**"]
 
 
 _PATHS = st.lists(
@@ -123,3 +117,12 @@ def test_adding_a_pattern_never_retains_more_files(paths, base_globs, extra):
     kept_before = {p for p in paths if not before.matches(p)}
     kept_after = {p for p in paths if not after.matches(p)}
     assert kept_after <= kept_before
+
+
+@given(_PATHS, st.lists(_EXTRA, max_size=3), st.booleans())
+def test_one_regex_decides_like_the_separate_globs(paths, extra, with_builtins):
+    builtin = builtin_patterns() if with_builtins else []
+    rules = FilterRules(ignore_globs=extra, builtin_vendored=builtin)
+    globs = [compile_glob(g) for g in extra + builtin]
+    for path in paths:
+        assert rules.matches(path) == any(rx.match(path) for rx in globs), path

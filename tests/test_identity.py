@@ -208,11 +208,39 @@ def test_name_merge_candidates_lists_close_pairs():
         RawUser("Bob.Rob", "b1@x.com"),
         RawUser("Bob Rob", "b2@y.com"),
         RawUser("Alice", "a@z.com"),
+        RawUser("Alcie", "a@w.com"),  # a transposition is two edits
     ]
     pairs = name_merge_candidates(users)
     assert len(pairs) == 1
     names = {pairs[0][0].name, pairs[0][1].name}
     assert names == {"Bob.Rob", "Bob Rob"}
+
+
+_close_names = st.lists(
+    st.builds(
+        RawUser,
+        name=st.text(alphabet="abé", max_size=4),
+        email=st.just(""),
+    ),
+    max_size=20,
+)
+
+
+@given(_close_names)
+def test_name_merge_candidates_equal_the_all_pairs_reference(users):
+    # The names include "", transpositions such as "ab"/"ba", and a
+    # non-ASCII letter; the reference keeps the order the report relies on.
+    by_name = {}
+    for user in sorted(set(users)):
+        by_name.setdefault(fold_name(user.name), user)
+    names = sorted(by_name, key=lambda name: (len(name), name))
+    expected = [
+        (by_name[a], by_name[b])
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+        if levenshtein(a, b) == 1
+    ]
+    assert name_merge_candidates(users) == expected
 
 
 def test_name_merge_candidates_empty_when_names_are_distant():
