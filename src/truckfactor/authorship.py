@@ -172,29 +172,42 @@ def blame_rank(
     """Developers ranked by how many of the file's lines they last touched.
 
     This is the independent signal used to sanity-check the change-based
-    scores: surviving lines per developer, from ``git blame``. Users that
-    blame surfaces but the alias map has never seen (possible: blame can
-    reach commits that merge suppression hid) become singleton developers.
+    scores: surviving lines per developer, from ``git blame --porcelain``.
+    That format names a commit's author only at the first group of lines
+    the commit owns; every later group repeats just the commit id. So the
+    content lines (those starting with a tab) are counted per commit id,
+    and the commits' authors are mapped to developers at the end. Users
+    that blame surfaces but the alias map has never seen (possible: blame
+    can reach commits that merge suppression hid) become singleton
+    developers. Raises :class:`BlameFailed` when git cannot blame the file.
     """
     try:
         out = run_git(
-            repo_path,
-            ["blame", "--line-porcelain", branch or "HEAD", "--", file],
+            repo_path, ["blame", "--porcelain", branch or "HEAD", "--", file]
         )
     except GitInvocationFailed as exc:
         raise BlameFailed(f"blame failed for {file}: {exc.stderr or exc}") from exc
-    counts: dict[DeveloperId, int] = defaultdict(int)
-    name = ""
-    for line in out.splitlines():
-        if line.startswith("author "):
+    lines_by_commit: dict[str, int] = defaultdict(int)
+    authors: dict[str, RawUser] = {}
+    commit = name = ""
+    at_header = True  # the line after each content line opens a new entry
+    for line in out.split("\n"):
+        if at_header:
+            commit = line.split(" ", 1)[0]
+            at_header = False
+        elif line.startswith("\t"):
+            lines_by_commit[commit] += 1
+            at_header = True
+        elif line.startswith("author "):
             name = line[len("author ") :]
         elif line.startswith("author-mail "):
             email = line[len("author-mail ") :].strip().strip("<>")
-            user = RawUser(name, email)
-            developer = alias_map.get(user) or DeveloperId(
-                user.name, frozenset({user})
-            )
-            counts[developer] += 1
+            authors[commit] = RawUser(name, email)
+    counts: dict[DeveloperId, int] = defaultdict(int)
+    for commit, lines in lines_by_commit.items():
+        user = authors[commit]
+        developer = alias_map.get(user) or DeveloperId(user.name, frozenset({user}))
+        counts[developer] += lines
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].canonical_name))
 
 

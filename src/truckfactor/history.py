@@ -82,36 +82,75 @@ def run_git(repo_path: str | Path, args: Sequence[str]) -> str:
             text=True,
             errors="replace",
         )
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise GitInvocationFailed(" ".join(command), str(exc)) from exc
     if proc.returncode != 0:
         raise GitInvocationFailed(" ".join(command), proc.stderr.strip())
     return proc.stdout
 
 
-def _require_repository(repo_path: str | Path) -> None:
+@dataclass(frozen=True)
+class Revision:
+    """The analyzed revision resolved to one commit object id."""
+
+    commit: str
+    shallow: bool
+
+
+def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revision:
+    """Check the repository and resolve ``branch`` (default ``HEAD``) once.
+
+    One ``git rev-parse`` opens the repository, reports whether it is a
+    shallow clone and peels the revision to a commit id. Passing that id to
+    every later git command keeps them on one commit even if the ref moves
+    meanwhile. Raises :class:`NotARepository`, :class:`EmptyRepository`
+    (``HEAD`` has no commit) or :class:`GitInvocationFailed` (the revision
+    does not name a commit).
+    """
     if not Path(repo_path).is_dir():
         raise NotARepository(f"{repo_path}: no such directory")
+    revision = branch or "HEAD"
     try:
-        run_git(repo_path, ["rev-parse", "--git-dir"])
+        out = run_git(
+            repo_path,
+            [
+                "rev-parse",
+                "--is-shallow-repository",
+                "--verify",
+                "--quiet",
+                revision + "^{commit}",
+            ],
+        )
     except GitInvocationFailed as exc:
-        raise NotARepository(f"{repo_path}: not a Git repository") from exc
-
-
-def _require_revision(repo_path: str | Path, revision: str) -> None:
-    try:
-        run_git(repo_path, ["rev-parse", "--verify", "--quiet", revision + "^{commit}"])
-    except GitInvocationFailed as exc:
+        # --quiet keeps an unknown revision silent, so anything on stderr
+        # means git could not open the repository at all.
+        if exc.stderr:
+            raise NotARepository(f"{repo_path}: not a Git repository") from exc
         if revision == "HEAD":
             raise EmptyRepository(f"{repo_path}: no commits on HEAD") from exc
         raise GitInvocationFailed(
             f"git rev-parse --verify {revision}", f"revision '{revision}' not found"
         ) from exc
+    shallow, commit = out.split()
+    return Revision(commit=commit, shallow=shallow == "true")
 
 
 def resolve_commit(repo_path: str | Path, branch: str | None = None) -> str:
     """The commit id the analyzed revision points at."""
-    return run_git(repo_path, ["rev-parse", branch or "HEAD"]).strip()
+    return resolve_revision(repo_path, branch).commit
+
+
+def _run_at_revision(
+    repo_path: str | Path, branch: str | None, args: Sequence[str]
+) -> str:
+    """Run a git command that reads ``branch``. When it fails, resolving the
+    revision again raises the specific error for a missing repository, an
+    empty one or an unknown revision; otherwise git's own error stands."""
+    try:
+        return run_git(repo_path, args)
+    except GitInvocationFailed:
+        resolve_revision(repo_path, branch)
+        raise
 
 
 _UNQUOTE_ESCAPES = {
@@ -153,14 +192,15 @@ def list_snapshot_files(
 ) -> list[str]:
     """Every file tracked at the snapshot, minus whatever the rules exclude.
 
-    Returned sorted, as repository-relative paths.
+    Only blob entries count: regular files and symlinks, not the gitlinks
+    that record submodules. Returned sorted, as repository-relative paths.
     """
-    revision = branch or "HEAD"
-    _require_repository(repo_path)
-    _require_revision(repo_path, revision)
     rules = rules if rules is not None else FilterRules()
-    out = run_git(repo_path, ["ls-tree", "-r", "--name-only", revision])
-    files = (_unquote(line) for line in out.splitlines() if line)
+    out = _run_at_revision(repo_path, branch, ["ls-tree", "-r", branch or "HEAD"])
+    entries = (line.partition("\t") for line in out.splitlines())
+    files = (
+        _unquote(path) for meta, _, path in entries if meta.split(" ")[1] == "blob"
+    )
     return sorted(path for path in files if not rules.matches(path))
 
 
@@ -173,14 +213,12 @@ def collect_history(
     authorship signal and are dropped. Rename events keep the old path so
     traces can follow the chain backwards.
     """
-    revision = branch or "HEAD"
-    _require_repository(repo_path)
-    _require_revision(repo_path, revision)
-    out = run_git(
+    out = _run_at_revision(
         repo_path,
+        branch,
         [
             "log",
-            revision,
+            branch or "HEAD",
             "--no-merges",
             "--find-renames",
             "--name-status",

@@ -8,6 +8,7 @@ finished estimate.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -65,27 +66,54 @@ def _build_rules(config: AnalysisConfig) -> FilterRules:
     return FilterRules(ignore_globs=globs, ignore_paths=paths)
 
 
+def _blame_workers() -> int:
+    """How many blame processes run at once: one per available CPU, at most 4."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
+
+
 def _blame_agreement(
     config: AnalysisConfig,
+    commit: str,
     targets: list[str],
     records: list[authorship.AuthorshipRecord],
     alias_map: dict[identity.RawUser, identity.DeveloperId],
 ) -> BlameAgreement:
-    """Sample files and compare their authors against blame rankings."""
+    """Sample files and compare their authors against blame rankings.
+
+    The sampled files are blamed at ``commit`` on a pool of
+    :func:`_blame_workers` threads, each waiting on one ``git blame``
+    process, and the rankings are tallied in sample order. A file that
+    blame cannot rank counts as one failure.
+    """
+    # Imported here so that runs without a blame sample do not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
     authors_by_file: dict[str, set[identity.DeveloperId]] = defaultdict(set)
     for record in records:
         if record.is_author:
             authors_by_file[record.file].add(record.developer)
-    pool = sorted(targets)
-    if len(pool) > BLAME_SAMPLE_SIZE:
-        pool = sorted(random.Random(config.seed).sample(pool, BLAME_SAMPLE_SIZE))
-    top1 = top3 = none = pairs = failures = 0
-    for file in pool:
+    sample = sorted(targets)
+    if len(sample) > BLAME_SAMPLE_SIZE:
+        sample = sorted(random.Random(config.seed).sample(sample, BLAME_SAMPLE_SIZE))
+
+    def rank(file: str) -> list[tuple[identity.DeveloperId, int]] | None:
         try:
-            ranking = authorship.blame_rank(
-                config.repo_path, file, alias_map, branch=config.branch
+            return authorship.blame_rank(
+                config.repo_path, file, alias_map, branch=commit
             )
         except BlameFailed:
+            return None
+
+    with ThreadPoolExecutor(max_workers=_blame_workers()) as executor:
+        rankings = list(executor.map(rank, sample))
+
+    top1 = top3 = none = pairs = failures = 0
+    for file, ranking in zip(sample, rankings):
+        if ranking is None:
             failures += 1
             continue
         ranked = [dev for dev, _ in ranking]
@@ -104,7 +132,7 @@ def _blame_agreement(
         return 100.0 * n / pairs if pairs else 0.0
 
     return BlameAgreement(
-        files_sampled=len(pool),
+        files_sampled=len(sample),
         pairs_compared=pairs,
         top1_pct=pct(top1),
         top3_pct=pct(top3),
@@ -118,10 +146,11 @@ def run(config: AnalysisConfig) -> Report:
     """Analyze one repository and return the full report."""
     _validate(config)
     rules = _build_rules(config)
+    revision = history.resolve_revision(config.repo_path, config.branch)
     targets = history.list_snapshot_files(
-        config.repo_path, rules, branch=config.branch
+        config.repo_path, rules, branch=revision.commit
     )
-    events = history.collect_history(config.repo_path, branch=config.branch)
+    events = history.collect_history(config.repo_path, branch=revision.commit)
 
     users = {event.author for event in events}
     commits_by_user: dict[identity.RawUser, set[str]] = defaultdict(set)
@@ -181,10 +210,15 @@ def run(config: AnalysisConfig) -> Report:
             "authored-file coverage starts below the coverage threshold; "
             "the estimate is 0 by construction"
         )
+    if revision.shallow:
+        warnings.append(
+            "shallow clone: history is truncated, so files added before the "
+            "cut get no first author and early contributors are missing"
+        )
 
     blame = None
     if config.blame_compare:
-        blame = _blame_agreement(config, targets, records, alias_map)
+        blame = _blame_agreement(config, revision.commit, targets, records, alias_map)
 
     developers = set(alias_map.values())
     ratio = authorship.author_ratio(developers, author_map) if developers else 0.0
@@ -198,7 +232,7 @@ def run(config: AnalysisConfig) -> Report:
         schema_version=SCHEMA_VERSION,
         repository=str(config.repo_path),
         branch=config.branch,
-        head_commit=history.resolve_commit(config.repo_path, config.branch),
+        head_commit=revision.commit,
         thresholds={"k": config.k, "m": config.m, "coverage": config.coverage},
         universe=config.universe,
         truck_factor=result.tf,

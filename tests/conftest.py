@@ -46,3 +46,13 @@ def aliased_repo(tmp_path):
 @pytest.fixture
 def branched_repo(tmp_path):
     return rf.branched_repo(tmp_path / "branched")
+
+
+@pytest.fixture
+def interleaved_blame_repo(tmp_path):
+    return rf.interleaved_blame_repo(tmp_path / "interleaved")
+
+
+@pytest.fixture
+def gitlink_repo(tmp_path):
+    return rf.gitlink_repo(tmp_path / "gitlink")

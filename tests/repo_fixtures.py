@@ -169,3 +169,39 @@ def branched_repo(path: Path) -> RepoBuilder:
     builder.commit_file("d.txt", "d\n", "add d", ALICE)
     builder.git("checkout", "-q", "main")
     return builder
+
+
+def interleaved_blame_repo(path: Path) -> RepoBuilder:
+    """Alice writes 30 lines; Bob rewrites lines 11-20, so Alice's commit
+    owns two separate groups of lines (A-B-A)."""
+    lines = [f"line {i} original" for i in range(1, 31)]
+    builder = RepoBuilder(path)
+    builder.commit_file("data.txt", "\n".join(lines) + "\n", "add data", ALICE)
+    lines[10:20] = [f"line {i} rewritten" for i in range(11, 21)]
+    builder.commit_file("data.txt", "\n".join(lines) + "\n", "rewrite middle", BOB)
+    return builder
+
+
+def gitlink_repo(path: Path) -> RepoBuilder:
+    """One source file, a symlink to it, and a submodule entry (a gitlink,
+    mode 160000) with no .gitmodules behind it."""
+    builder = RepoBuilder(path)
+    builder.commit_file("src/app.py", "app = 1\n", "add app", ALICE)
+    (builder.path / "src" / "link.py").symlink_to("app.py")
+    builder.git("add", "--", "src/link.py")
+    builder.git(
+        "update-index", "--add", "--cacheinfo", f"160000,{builder.head()},vendor_sub"
+    )
+    builder.git("commit", "-q", "-m", "add link and submodule", user=ALICE)
+    return builder
+
+
+def shallow_clone(source: RepoBuilder, dest: Path) -> Path:
+    """A ``--depth 1`` clone of ``source``: only its newest commit."""
+    subprocess.run(
+        ["git", "clone", "-q", "--depth", "1", f"file://{source.path}", str(dest)],
+        env={**os.environ, "GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"},
+        capture_output=True,
+        check=True,
+    )
+    return dest

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -280,6 +281,35 @@ def test_blame_rank_counts_surviving_lines(blame_overwrite_repo):
     alias_map = _alias_map_for(blame_overwrite_repo)
     ranking = blame_rank(blame_overwrite_repo.path, "data.txt", alias_map)
     assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 30), ("Bob", 10)]
+
+
+def _line_porcelain_counts(repo, file):
+    """Lines per author name from ``git blame --line-porcelain``, which
+    repeats the author headers on every line."""
+    out = repo.git("blame", "--line-porcelain", "HEAD", "--", file)
+    return Counter(
+        line[len("author ") :] for line in out.split("\n") if line.startswith("author ")
+    )
+
+
+@pytest.mark.parametrize("fixture", ["interleaved_blame_repo", "blame_overwrite_repo"])
+def test_blame_rank_matches_a_line_porcelain_count(fixture, request):
+    repo = request.getfixturevalue(fixture)
+    ranking = blame_rank(repo.path, "data.txt", _alias_map_for(repo))
+    expected = _line_porcelain_counts(repo, "data.txt")
+    assert dict((d.canonical_name, n) for d, n in ranking) == expected
+    assert [n for _, n in ranking] == sorted(expected.values(), reverse=True)
+
+
+def test_blame_rank_counts_groups_whose_commit_was_described_earlier(
+    interleaved_blame_repo,
+):
+    porcelain = interleaved_blame_repo.git(
+        "blame", "--porcelain", "HEAD", "--", "data.txt"
+    )
+    assert porcelain.count("\nauthor Alice\n") == 1  # two groups, one header
+    ranking = blame_rank(interleaved_blame_repo.path, "data.txt", {})
+    assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 20), ("Bob", 10)]
 
 
 def test_blame_rank_of_single_author_file(single_author_repo):

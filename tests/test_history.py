@@ -8,10 +8,12 @@ from truckfactor.history import (
     ChangeKind,
     FileTrace,
     MigrationVerdict,
+    Revision,
     check_migration,
     collect_history,
     list_snapshot_files,
     resolve_commit,
+    resolve_revision,
     trace_files,
 )
 from truckfactor.identity import RawUser
@@ -56,6 +58,13 @@ def test_snapshot_rejects_non_repository(tmp_path):
         list_snapshot_files(plain_dir)
 
 
+def test_snapshot_rejects_a_regular_file(tmp_path):
+    not_a_directory = tmp_path / "file.txt"
+    not_a_directory.write_text("x\n", encoding="utf-8")
+    with pytest.raises(NotARepository):
+        list_snapshot_files(not_a_directory)
+
+
 def test_snapshot_rejects_repository_without_commits(tmp_path):
     bare = rf.RepoBuilder(tmp_path / "fresh")
     with pytest.raises(EmptyRepository):
@@ -71,6 +80,41 @@ def test_snapshot_decodes_quoted_unicode_paths(tmp_path):
     builder = rf.RepoBuilder(tmp_path / "uni")
     builder.commit_file("naïve.py", "x = 1\n", "add unicode name", rf.ALICE)
     assert list_snapshot_files(builder.path, FilterRules.none()) == ["naïve.py"]
+
+
+def test_snapshot_keeps_blobs_and_symlinks_but_not_gitlinks(gitlink_repo):
+    files = list_snapshot_files(gitlink_repo.path, FilterRules.none())
+    assert files == ["src/app.py", "src/link.py"]
+
+
+# --- resolve_revision ------------------------------------------------------
+
+
+def test_resolve_revision_peels_to_the_full_commit_id(branched_repo):
+    dev_head = branched_repo.git("rev-parse", "dev").strip()
+    branched_repo.git("tag", "-a", "v1", "-m", "annotated", "dev")
+    assert resolve_revision(branched_repo.path, "v1") == Revision(dev_head, False)
+    assert resolve_commit(branched_repo.path, "dev") == dev_head
+    assert resolve_commit(branched_repo.path) == branched_repo.head()
+
+
+def test_resolve_revision_keeps_its_errors_apart(tmp_path, single_author_repo):
+    with pytest.raises(NotARepository):
+        resolve_revision(tmp_path / "missing")
+    plain_dir = tmp_path / "plain"
+    plain_dir.mkdir()
+    with pytest.raises(NotARepository):
+        resolve_revision(plain_dir)
+    with pytest.raises(EmptyRepository):
+        resolve_revision(rf.RepoBuilder(tmp_path / "fresh").path)
+    with pytest.raises(GitInvocationFailed, match="'no-such-branch' not found"):
+        resolve_revision(single_author_repo.path, "no-such-branch")
+
+
+def test_resolve_revision_detects_shallow_clones(tmp_path, two_author_repo):
+    assert not resolve_revision(two_author_repo.path).shallow
+    clone = rf.shallow_clone(two_author_repo, tmp_path / "shallow")
+    assert resolve_revision(clone) == Revision(two_author_repo.head(), True)
 
 
 # --- collect_history -------------------------------------------------------

@@ -1,6 +1,14 @@
+import random
+import threading
+import time
+
 import pytest
 
 import repo_fixtures as rf
+from truckfactor import authorship, history, pipeline
+from truckfactor.authorship import AuthorshipRecord
+from truckfactor.errors import BlameFailed
+from truckfactor.identity import DeveloperId, RawUser
 from truckfactor.pipeline import AnalysisConfig, run
 from truckfactor.report import emit
 
@@ -121,6 +129,95 @@ def test_blame_comparison_on_single_author_repo(single_author_repo):
     assert blame.none_pct == 0.0
     assert blame.blame_failures == 0
     assert blame.seed == 3
+
+
+def test_blame_pool_tallies_like_a_sequential_loop(monkeypatch):
+    developers = [
+        DeveloperId(name, frozenset({RawUser(name, f"{name}@example.com")}))
+        for name in "ABCDE"
+    ]
+    files = [f"f{i:02d}.py" for i in range(40)]
+    records = [
+        AuthorshipRecord(developers[(i * step) % 5], file, 1, 1, 0, 4.0, 1.0, True)
+        for i, file in enumerate(files)
+        for step in (1, 2)
+    ]
+    lock = threading.Lock()
+    running = peak = 0
+
+    def fake_blame_rank(repo_path, file, alias_map, branch=None):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+        try:
+            time.sleep(random.Random(file).uniform(0.001, 0.005))
+            n = int(file[1:3])
+            if n % 7 == 3:
+                raise BlameFailed(file)
+            return [(developers[(n + j) % 5], 10 - j) for j in range(n % 5)]
+        finally:
+            with lock:
+                running -= 1
+
+    monkeypatch.setattr(authorship, "blame_rank", fake_blame_rank)
+    config = AnalysisConfig(repo_path="unused", seed=4)
+    monkeypatch.setattr(pipeline, "_blame_workers", lambda: 1)
+    sequential = pipeline._blame_agreement(config, "c0ffee", files, records, {})
+    assert peak == 1
+    peak = 0
+    monkeypatch.setattr(pipeline, "_blame_workers", lambda: 4)
+    pooled = pipeline._blame_agreement(config, "c0ffee", files, records, {})
+    assert 1 < peak <= 4
+    assert pooled == sequential
+    assert pooled.blame_failures == 6
+    assert pooled.files_sampled == 40
+    assert 0 < pooled.none_pct < 100
+
+
+def test_git_commands_read_the_commit_resolved_at_the_start(
+    monkeypatch, two_author_repo
+):
+    head = two_author_repo.head()
+    calls = []
+    lock = threading.Lock()
+    real_run_git = history.run_git
+
+    def spy(repo_path, args):
+        with lock:
+            calls.append(list(args))
+            first = len(calls) == 1
+        out = real_run_git(repo_path, args)
+        if first:  # the branch moves right after it was resolved
+            two_author_repo.commit_file("late.py", "late\n", "late", rf.CAROL)
+        return out
+
+    monkeypatch.setattr(history, "run_git", spy)
+    monkeypatch.setattr(authorship, "run_git", spy)
+    config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
+    report = run(config)
+    assert two_author_repo.head() != head
+    assert report.head_commit == head
+    assert report.totals == {"developers": 2, "authors": 2, "files": 4, "commits": 7}
+    subcommands = [args[0] for args in calls]
+    assert subcommands == ["rev-parse", "ls-tree", "log"] + ["blame"] * 4
+    assert all(head in args for args in calls[1:])
+
+
+def test_gitlinks_are_neither_counted_nor_blamed(gitlink_repo):
+    report = run(AnalysisConfig(repo_path=str(gitlink_repo.path), blame_compare=True))
+    assert report.totals["files"] == 2
+    assert report.blame_agreement.files_sampled == 2
+    assert report.blame_agreement.blame_failures == 0
+
+
+def test_shallow_clone_warns_that_history_is_truncated(tmp_path, two_author_repo):
+    full = run(AnalysisConfig(repo_path=str(two_author_repo.path)))
+    assert not any("shallow" in w for w in full.warnings)
+    clone = rf.shallow_clone(two_author_repo, tmp_path / "shallow")
+    report = run(AnalysisConfig(repo_path=str(clone)))
+    assert report.totals["commits"] == 1
+    assert any("shallow" in w and "truncated" in w for w in report.warnings)
 
 
 def test_branch_selection(branched_repo):
