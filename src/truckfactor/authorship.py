@@ -15,6 +15,7 @@ The defaults for ``k`` and ``m`` are the empirically calibrated values.
 from __future__ import annotations
 
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +29,10 @@ DOA_INTERCEPT = 3.293
 DOA_FIRST_AUTHORSHIP_WEIGHT = 1.098
 DOA_DELIVERIES_WEIGHT = 0.164
 DOA_ACCEPTANCES_WEIGHT = 0.321
+
+# The header opening each group of lines in ``git blame --porcelain``:
+# commit id, original line, final line and, at a group's first line, its size.
+_BLAME_HEADER = re.compile(r"([0-9a-f]{40,}) \d+ \d+(?: \d+)?")
 
 
 @dataclass
@@ -179,7 +184,8 @@ def blame_rank(
     and the commits' authors are mapped to developers at the end. Users
     that blame surfaces but the alias map has never seen (possible: blame
     can reach commits that merge suppression hid) become singleton
-    developers. Raises :class:`BlameFailed` when git cannot blame the file.
+    developers. Raises :class:`BlameFailed` when git cannot blame the file
+    or its output counts lines for a commit it never names an author for.
     """
     try:
         out = run_git(
@@ -190,19 +196,19 @@ def blame_rank(
     lines_by_commit: dict[str, int] = defaultdict(int)
     authors: dict[str, RawUser] = {}
     commit = name = ""
-    at_header = True  # the line after each content line opens a new entry
     for line in out.split("\n"):
-        if at_header:
-            commit = line.split(" ", 1)[0]
-            at_header = False
-        elif line.startswith("\t"):
+        if line.startswith("\t"):
             lines_by_commit[commit] += 1
-            at_header = True
+        elif header := _BLAME_HEADER.fullmatch(line):
+            commit = header[1]
         elif line.startswith("author "):
             name = line[len("author ") :]
         elif line.startswith("author-mail "):
             email = line[len("author-mail ") :].strip().strip("<>")
             authors[commit] = RawUser(name, email)
+    missing = lines_by_commit.keys() - authors.keys()
+    if missing:
+        raise BlameFailed(f"blame of {file} names no author for {min(missing)!r}")
     counts: dict[DeveloperId, int] = defaultdict(int)
     for commit, lines in lines_by_commit.items():
         user = authors[commit]

@@ -72,21 +72,21 @@ class MigrationVerdict:
 
 
 def run_git(repo_path: str | Path, args: Sequence[str]) -> str:
-    """Run one git command in ``repo_path`` and return its stdout."""
+    """Run one git command in ``repo_path`` and return its stdout.
+
+    The output is decoded as UTF-8 with no newline translation: git ends
+    its lines with ``\n`` alone, and a ``\r`` inside a file's content (as
+    ``git blame`` prints it) must not become a line break.
+    """
     command = ["git", *args]
     try:
-        proc = subprocess.run(
-            command,
-            cwd=str(repo_path),
-            capture_output=True,
-            text=True,
-            errors="replace",
-        )
+        proc = subprocess.run(command, cwd=str(repo_path), capture_output=True)
     except OSError as exc:
         raise GitInvocationFailed(" ".join(command), str(exc)) from exc
     if proc.returncode != 0:
-        raise GitInvocationFailed(" ".join(command), proc.stderr.strip())
-    return proc.stdout
+        stderr = proc.stderr.decode("utf-8", "replace").strip()
+        raise GitInvocationFailed(" ".join(command), stderr)
+    return proc.stdout.decode("utf-8", "replace")
 
 
 @dataclass(frozen=True)

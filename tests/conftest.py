@@ -54,5 +54,10 @@ def interleaved_blame_repo(tmp_path):
 
 
 @pytest.fixture
+def carriage_return_repo(tmp_path):
+    return rf.carriage_return_repo(tmp_path / "carriage-return")
+
+
+@pytest.fixture
 def gitlink_repo(tmp_path):
     return rf.gitlink_repo(tmp_path / "gitlink")

@@ -182,6 +182,15 @@ def interleaved_blame_repo(path: Path) -> RepoBuilder:
     return builder
 
 
+def carriage_return_repo(path: Path) -> RepoBuilder:
+    """Alice writes three lines; the first holds a lone CR followed by a tab,
+    and git breaks lines at LF only. Bob appends a fourth line."""
+    builder = RepoBuilder(path)
+    builder.commit_file("data.txt", "one\r\thalf\ntwo\nthree\n", "add data", ALICE)
+    builder.commit_file("data.txt", "one\r\thalf\ntwo\nthree\nfour\n", "append", BOB)
+    return builder
+
+
 def gitlink_repo(path: Path) -> RepoBuilder:
     """One source file, a symlink to it, and a submodule entry (a gitlink,
     mode 160000) with no .gitmodules behind it."""

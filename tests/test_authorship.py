@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repo_fixtures as rf
+from truckfactor import authorship
 from truckfactor.authorship import (
     AuthorFileMap,
     AuthorshipRecord,
@@ -310,6 +311,24 @@ def test_blame_rank_counts_groups_whose_commit_was_described_earlier(
     assert porcelain.count("\nauthor Alice\n") == 1  # two groups, one header
     ranking = blame_rank(interleaved_blame_repo.path, "data.txt", {})
     assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 20), ("Bob", 10)]
+
+
+def test_blame_rank_keeps_a_lone_carriage_return_inside_its_line(
+    carriage_return_repo,
+):
+    ranking = blame_rank(carriage_return_repo.path, "data.txt", {})
+    assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 3), ("Bob", 1)]
+    assert dict((d.canonical_name, n) for d, n in ranking) == _line_porcelain_counts(
+        carriage_return_repo, "data.txt"
+    )
+
+
+def test_blame_rank_rejects_lines_of_a_commit_with_no_author(monkeypatch):
+    commit = "ab" * 20
+    undescribed = f"{commit} 1 1 1\n\tonly line\n"
+    monkeypatch.setattr(authorship, "run_git", lambda *_: undescribed)
+    with pytest.raises(BlameFailed, match="no author"):
+        blame_rank(".", "data.txt", {})
 
 
 def test_blame_rank_of_single_author_file(single_author_repo):

@@ -211,6 +211,12 @@ def test_gitlinks_are_neither_counted_nor_blamed(gitlink_repo):
     assert report.blame_agreement.blame_failures == 0
 
 
+def test_blame_compare_survives_a_carriage_return_inside_a_line(carriage_return_repo):
+    config = AnalysisConfig(repo_path=str(carriage_return_repo.path), blame_compare=True)
+    agreement = run(config).blame_agreement
+    assert (agreement.files_sampled, agreement.blame_failures) == (1, 0)
+
+
 def test_shallow_clone_warns_that_history_is_truncated(tmp_path, two_author_repo):
     full = run(AnalysisConfig(repo_path=str(two_author_repo.path)))
     assert not any("shallow" in w for w in full.warnings)
