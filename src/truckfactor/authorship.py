@@ -37,17 +37,14 @@ _BLAME_HEADER = re.compile(r"([0-9a-f]{40,}) \d+ \d+(?: \d+)?")
 
 @dataclass
 class Thresholds:
-    """Author-selection and coverage thresholds.
+    """Author-selection thresholds.
 
-    ``k`` is the normalized-score cut (strict), ``m`` the absolute floor
-    (inclusive) that keeps near-zero-signal files from gaining authors, and
-    ``coverage`` the fraction of files that must stay covered during the
-    greedy estimation.
+    ``k`` is the normalized-score cut (strict) and ``m`` the absolute floor
+    (inclusive) that keeps near-zero-signal files from gaining authors.
     """
 
     k: float = 0.75
     m: float = DOA_INTERCEPT
-    coverage: float = 0.5
 
 
 @dataclass
@@ -147,23 +144,18 @@ def select_authors(
     """Mark each record's author flag and collect the author -> files map.
 
     A developer authors a file when doa_norm > k and doa_abs >= m. Files
-    whose best score is not positive get no authors at all.
+    whose best score is not positive get no authors at all, because
+    :func:`normalize` sets their normalized scores to 0.0 and ``k`` is not
+    negative.
     """
     thresholds = thresholds or Thresholds()
-    by_file: dict[str, list[AuthorshipRecord]] = defaultdict(list)
-    for record in records:
-        by_file[record.file].append(record)
     entries: dict[DeveloperId, set[str]] = defaultdict(set)
-    for file, file_records in sorted(by_file.items()):
-        top = max(record.doa_abs for record in file_records)
-        for record in file_records:
-            record.is_author = (
-                top > 0.0
-                and record.doa_norm > thresholds.k
-                and record.doa_abs >= thresholds.m
-            )
-            if record.is_author:
-                entries[record.developer].add(file)
+    for record in records:
+        record.is_author = (
+            record.doa_norm > thresholds.k and record.doa_abs >= thresholds.m
+        )
+        if record.is_author:
+            entries[record.developer].add(record.file)
     ordered = sorted(entries.items(), key=lambda kv: kv[0].canonical_name)
     return AuthorFileMap({dev: files for dev, files in ordered})
 

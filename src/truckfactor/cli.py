@@ -126,24 +126,22 @@ def main(argv: list[str] | None = None) -> int:
         m=args.m,
         coverage=args.coverage,
         universe=args.universe,
-        output_format=args.output_format,
         blame_compare=args.blame_compare,
         seed=args.seed,
         alias_report=args.alias_report,
         migration_check=not args.no_migration_check,
-        fail_under=args.fail_under,
     )
     try:
         report = run(config)
     except (TruckFactorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.buffer.write(emit(report, config.output_format))
+    sys.stdout.buffer.write(emit(report, args.output_format))
     sys.stdout.buffer.flush()
-    if config.fail_under is not None and report.truck_factor < config.fail_under:
+    if args.fail_under is not None and report.truck_factor < args.fail_under:
         print(
             f"truck factor {report.truck_factor} is below the required "
-            f"minimum {config.fail_under}",
+            f"minimum {args.fail_under}",
             file=sys.stderr,
         )
         return 1

@@ -8,7 +8,6 @@ a file's history survives being moved.
 
 from __future__ import annotations
 
-import re
 import subprocess
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -32,8 +31,6 @@ _STATUS_KINDS = {
     "M": ChangeKind.MODIFICATION,
     "R": ChangeKind.RENAME,
 }
-
-_COMMIT_LINE = re.compile(r"^[0-9a-f]{40}\t")
 
 
 @dataclass(frozen=True)
@@ -74,9 +71,12 @@ class MigrationVerdict:
 def run_git(repo_path: str | Path, args: Sequence[str]) -> str:
     """Run one git command in ``repo_path`` and return its stdout.
 
-    The output is decoded as UTF-8 with no newline translation: git ends
-    its lines with ``\n`` alone, and a ``\r`` inside a file's content (as
-    ``git blame`` prints it) must not become a line break.
+    Every output is decoded here, once, as UTF-8 with ``surrogateescape``:
+    bytes that are not UTF-8 (a Latin-1 path or author name) become lone
+    surrogates, so distinct names stay distinct, and such a string passed
+    back to git as an argument is encoded to the original bytes. There is
+    no newline translation: a ``\r`` inside a file's content (as ``git
+    blame`` prints it) must not become a line break.
     """
     command = ["git", *args]
     try:
@@ -86,26 +86,30 @@ def run_git(repo_path: str | Path, args: Sequence[str]) -> str:
     if proc.returncode != 0:
         stderr = proc.stderr.decode("utf-8", "replace").strip()
         raise GitInvocationFailed(" ".join(command), stderr)
-    return proc.stdout.decode("utf-8", "replace")
+    return proc.stdout.decode("utf-8", "surrogateescape")
 
 
 @dataclass(frozen=True)
 class Revision:
-    """The analyzed revision resolved to one commit object id."""
+    """The analyzed revision resolved to one commit object id, and the
+    absolute git directory that later git commands run in."""
 
     commit: str
     shallow: bool
+    git_dir: str
 
 
 def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revision:
     """Check the repository and resolve ``branch`` (default ``HEAD``) once.
 
-    One ``git rev-parse`` opens the repository, reports whether it is a
-    shallow clone and peels the revision to a commit id. Passing that id to
-    every later git command keeps them on one commit even if the ref moves
-    meanwhile. Raises :class:`NotARepository`, :class:`EmptyRepository`
-    (``HEAD`` has no commit) or :class:`GitInvocationFailed` (the revision
-    does not name a commit).
+    One ``git rev-parse`` opens the repository, finds its git directory,
+    reports whether it is a shallow clone and peels the revision to a commit
+    id. Passing that id to every later git command keeps them on one commit
+    even if the ref moves meanwhile, and running them in the git directory
+    makes every path repository-relative, even when ``repo_path`` is a
+    subdirectory of the work tree. Raises :class:`NotARepository`,
+    :class:`EmptyRepository` (``HEAD`` has no commit) or
+    :class:`GitInvocationFailed` (the revision does not name a commit).
     """
     if not Path(repo_path).is_dir():
         raise NotARepository(f"{repo_path}: no such directory")
@@ -115,6 +119,7 @@ def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revisi
             repo_path,
             [
                 "rev-parse",
+                "--absolute-git-dir",
                 "--is-shallow-repository",
                 "--verify",
                 "--quiet",
@@ -131,8 +136,8 @@ def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revisi
         raise GitInvocationFailed(
             f"git rev-parse --verify {revision}", f"revision '{revision}' not found"
         ) from exc
-    shallow, commit = out.split()
-    return Revision(commit=commit, shallow=shallow == "true")
+    git_dir, shallow, commit = out[:-1].rsplit("\n", 2)
+    return Revision(commit=commit, shallow=shallow == "true", git_dir=git_dir)
 
 
 def resolve_commit(repo_path: str | Path, branch: str | None = None) -> str:
@@ -153,38 +158,6 @@ def _run_at_revision(
         raise
 
 
-_UNQUOTE_ESCAPES = {
-    "a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r",
-    "t": "\t", "v": "\v", '"': '"', "\\": "\\",
-}
-
-
-def _unquote(path: str) -> str:
-    """Undo git's C-style quoting of unusual path names."""
-    if len(path) < 2 or not (path.startswith('"') and path.endswith('"')):
-        return path
-    body = path[1:-1]
-    out = bytearray()
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch != "\\":
-            out.extend(ch.encode("utf-8"))
-            i += 1
-            continue
-        nxt = body[i + 1] if i + 1 < len(body) else ""
-        if nxt in _UNQUOTE_ESCAPES:
-            out.extend(_UNQUOTE_ESCAPES[nxt].encode("utf-8"))
-            i += 2
-        elif nxt.isdigit():
-            out.append(int(body[i + 1 : i + 4], 8))
-            i += 4
-        else:
-            out.extend(ch.encode("utf-8"))
-            i += 1
-    return out.decode("utf-8", errors="replace")
-
-
 def list_snapshot_files(
     repo_path: str | Path,
     rules: FilterRules | None = None,
@@ -196,11 +169,12 @@ def list_snapshot_files(
     that record submodules. Returned sorted, as repository-relative paths.
     """
     rules = rules if rules is not None else FilterRules()
-    out = _run_at_revision(repo_path, branch, ["ls-tree", "-r", branch or "HEAD"])
-    entries = (line.partition("\t") for line in out.splitlines())
-    files = (
-        _unquote(path) for meta, _, path in entries if meta.split(" ")[1] == "blob"
+    out = _run_at_revision(
+        repo_path, branch, ["ls-tree", "-r", "-z", branch or "HEAD"]
     )
+    # Each entry is "<mode> <type> <object>\t<path>", ended by a NUL.
+    entries = (entry.partition("\t") for entry in out.split("\0")[:-1])
+    files = (path for meta, _, path in entries if meta.split(" ")[1] == "blob")
     return sorted(path for path in files if not rules.matches(path))
 
 
@@ -218,38 +192,50 @@ def collect_history(
         branch,
         [
             "log",
+            "-z",
             branch or "HEAD",
             "--no-merges",
             "--find-renames",
             "--name-status",
-            "--pretty=format:%H%x09%an%x09%ae",
+            "--pretty=format:%x00%H%x00%an%x00%ae",
         ],
     )
-    # git log prints newest first; gather blocks, then reverse.
+    # Split at NUL, the output is a run of commits: an empty token, then the
+    # commit's id, name and email. When the commit changed anything, the email token also carries
+    # "\n" and the first status. Each status is followed by its paths (two
+    # for R and C, one otherwise), then by the next status or by the empty
+    # token that ends the commit. git prints newest first; gather blocks,
+    # then reverse.
+    tokens = out.split("\0")
+    end = len(tokens)
     blocks: list[tuple[str, RawUser, list[tuple[ChangeKind, str, str | None]]]] = []
-    changes: list[tuple[ChangeKind, str, str | None]] | None = None
-    for line in out.splitlines():
-        if not line:
+    i = 0
+    while i < end:
+        commit_id = tokens[i]
+        if not commit_id:
+            i += 1
             continue
-        if _COMMIT_LINE.match(line):
-            commit_id, name, email = line.split("\t", 2)
-            changes = []
-            blocks.append((commit_id, RawUser(name, email), changes))
-            continue
-        if changes is None:
-            raise GitInvocationFailed("git log", f"unparseable line: {line!r}")
-        fields = line.split("\t")
-        kind = _STATUS_KINDS.get(fields[0][:1])
-        if kind is None:
-            continue
-        if kind is ChangeKind.RENAME:
-            if len(fields) != 3:
-                raise GitInvocationFailed("git log", f"malformed rename: {line!r}")
-            changes.append((kind, _unquote(fields[2]), _unquote(fields[1])))
-        else:
-            if len(fields) != 2:
-                raise GitInvocationFailed("git log", f"malformed change: {line!r}")
-            changes.append((kind, _unquote(fields[1]), None))
+        if i + 2 >= end:
+            raise GitInvocationFailed("git log", f"truncated commit {commit_id!r}")
+        email, _, status = tokens[i + 2].partition("\n")
+        changes: list[tuple[ChangeKind, str, str | None]] = []
+        blocks.append((commit_id, RawUser(tokens[i + 1], email), changes))
+        i += 3
+        while status:
+            width = 2 if status[0] in "RC" else 1
+            paths = tokens[i : i + width]
+            if len(paths) < width or not all(paths):
+                raise GitInvocationFailed(
+                    "git log", f"malformed change {status!r} in {commit_id}"
+                )
+            kind = _STATUS_KINDS.get(status[0])
+            if kind is ChangeKind.RENAME:
+                changes.append((kind, paths[1], paths[0]))
+            elif kind is not None:
+                changes.append((kind, paths[0], None))
+            i += width
+            status = tokens[i] if i < end else ""
+            i += 1
     events: list[ChangeEvent] = []
     order = 0
     for commit_id, author, commit_changes in reversed(blocks):

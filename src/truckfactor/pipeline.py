@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import authorship, estimate, history, identity
 from .errors import BlameFailed
@@ -41,19 +41,15 @@ class AnalysisConfig:
     m: float = 3.293
     coverage: float = 0.5
     universe: str = "authored"  # or "all-files"
-    output_format: str = "text"
     blame_compare: bool = False
     seed: int = 0
     alias_report: bool = False
     migration_check: bool = True
-    fail_under: int | None = None
 
 
 def _validate(config: AnalysisConfig) -> None:
     if config.universe not in ("authored", "all-files"):
         raise ValueError(f"unknown universe: {config.universe!r}")
-    if config.output_format not in ("text", "json", "csv"):
-        raise ValueError(f"unknown output format: {config.output_format!r}")
     if not 0.0 < config.k <= 1.0:
         raise ValueError("k must be in (0, 1]")
     if not 0.0 < config.coverage < 1.0:
@@ -148,9 +144,9 @@ def run(config: AnalysisConfig) -> Report:
     rules = _build_rules(config)
     revision = history.resolve_revision(config.repo_path, config.branch)
     targets = history.list_snapshot_files(
-        config.repo_path, rules, branch=revision.commit
+        revision.git_dir, rules, branch=revision.commit
     )
-    events = history.collect_history(config.repo_path, branch=revision.commit)
+    events = history.collect_history(revision.git_dir, branch=revision.commit)
 
     users = {event.author for event in events}
     commits_by_user: dict[identity.RawUser, set[str]] = defaultdict(set)
@@ -178,9 +174,7 @@ def run(config: AnalysisConfig) -> Report:
     records: list[authorship.AuthorshipRecord] = []
     for trace in traces:
         records.extend(authorship.score_trace(trace, alias_map))
-    thresholds = authorship.Thresholds(
-        k=config.k, m=config.m, coverage=config.coverage
-    )
+    thresholds = authorship.Thresholds(k=config.k, m=config.m)
     author_map = authorship.select_authors(records, thresholds)
 
     universe = set(targets) if config.universe == "all-files" else None
@@ -218,7 +212,13 @@ def run(config: AnalysisConfig) -> Report:
 
     blame = None
     if config.blame_compare:
-        blame = _blame_agreement(config, revision.commit, targets, records, alias_map)
+        blame = _blame_agreement(
+            replace(config, repo_path=revision.git_dir),
+            revision.commit,
+            targets,
+            records,
+            alias_map,
+        )
 
     developers = set(alias_map.values())
     ratio = authorship.author_ratio(developers, author_map) if developers else 0.0

@@ -93,7 +93,12 @@ class Report:
 
 
 def emit(report: Report, format: str = "text") -> bytes:
-    """Render a report as UTF-8 bytes in the requested format."""
+    """Render a report as UTF-8 bytes in the requested format.
+
+    A name git gave as bytes that are not UTF-8 reaches the report as lone
+    surrogates (see :func:`truckfactor.history.run_git`); text and CSV write
+    its original bytes back, and JSON escapes it.
+    """
     if format == "text":
         rendered = _emit_text(report)
     elif format == "json":
@@ -102,7 +107,7 @@ def emit(report: Report, format: str = "text") -> bytes:
         rendered = _emit_csv(report)
     else:
         raise ValueError(f"unknown report format: {format!r}")
-    return rendered.encode("utf-8")
+    return rendered.encode("utf-8", "surrogateescape")
 
 
 def parse_json(data: bytes | str) -> Report:

@@ -61,3 +61,8 @@ def carriage_return_repo(tmp_path):
 @pytest.fixture
 def gitlink_repo(tmp_path):
     return rf.gitlink_repo(tmp_path / "gitlink")
+
+
+@pytest.fixture
+def latin1_repo(tmp_path):
+    return rf.latin1_repo(tmp_path / "latin1")

@@ -31,6 +31,18 @@ def test_csv_output_rows(two_author_repo, capfd):
     assert lines[-1].split(",")[0] == "truck_factor"
 
 
+def test_a_latin1_author_renders_in_every_format(latin1_repo, capfdbinary):
+    # The name's bytes are b"Jos\xe9"; text and CSV write them back as they
+    # are, and JSON escapes them.
+    assert main([str(latin1_repo.path)]) == 0
+    assert b"1. Jos\xe9  (4 authored files" in capfdbinary.readouterr().out
+    assert main([str(latin1_repo.path), "--format", "csv"]) == 0
+    assert b"\nJos\xe9,4,0.000000\n" in capfdbinary.readouterr().out
+    assert main([str(latin1_repo.path), "--format", "json"]) == 0
+    report = parse_json(capfdbinary.readouterr().out)
+    assert [r.developer for r in report.removed] == ["Jos\udce9"]
+
+
 def test_fail_under_still_prints_the_report(single_author_repo, capfd):
     code = main([str(single_author_repo.path), "--fail-under", "3"])
     captured = capfd.readouterr()

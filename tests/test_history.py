@@ -1,6 +1,14 @@
+import os
+import subprocess
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repo_fixtures as rf
+from truckfactor import history
 from truckfactor.errors import EmptyRepository, GitInvocationFailed, NotARepository
 from truckfactor.filters import FilterRules
 from truckfactor.history import (
@@ -93,7 +101,9 @@ def test_snapshot_keeps_blobs_and_symlinks_but_not_gitlinks(gitlink_repo):
 def test_resolve_revision_peels_to_the_full_commit_id(branched_repo):
     dev_head = branched_repo.git("rev-parse", "dev").strip()
     branched_repo.git("tag", "-a", "v1", "-m", "annotated", "dev")
-    assert resolve_revision(branched_repo.path, "v1") == Revision(dev_head, False)
+    git_dir = str((branched_repo.path / ".git").resolve())
+    revision = resolve_revision(branched_repo.path, "v1")
+    assert revision == Revision(dev_head, False, git_dir)
     assert resolve_commit(branched_repo.path, "dev") == dev_head
     assert resolve_commit(branched_repo.path) == branched_repo.head()
 
@@ -114,7 +124,8 @@ def test_resolve_revision_keeps_its_errors_apart(tmp_path, single_author_repo):
 def test_resolve_revision_detects_shallow_clones(tmp_path, two_author_repo):
     assert not resolve_revision(two_author_repo.path).shallow
     clone = rf.shallow_clone(two_author_repo, tmp_path / "shallow")
-    assert resolve_revision(clone) == Revision(two_author_repo.head(), True)
+    git_dir = str((clone / ".git").resolve())
+    assert resolve_revision(clone) == Revision(two_author_repo.head(), True, git_dir)
 
 
 # --- collect_history -------------------------------------------------------
@@ -174,6 +185,225 @@ def test_history_counts_modifications(two_author_repo):
 def test_history_requires_a_repository(tmp_path):
     with pytest.raises(NotARepository):
         collect_history(tmp_path / "missing")
+
+
+def test_history_reads_a_sha256_repository(tmp_path):
+    builder = rf.rename_repo(tmp_path / "sha256", object_format="sha256")
+    events = collect_history(builder.path)
+    assert [(e.kind, e.path, e.old_path) for e in events] == [
+        (ChangeKind.ADDITION, "src/original.py", None),
+        (ChangeKind.RENAME, "src/renamed.py", "src/original.py"),
+    ]
+    assert events[1].commit_id == builder.head()
+    assert len(builder.head()) == 64
+
+
+def test_history_keeps_an_author_name_with_a_line_separator(tmp_path):
+    builder = rf.RepoBuilder(tmp_path / "u2028")
+    builder.commit_file("a.py", "a\n", "add", ("Ann\u2028Lee", "ann@example.com"))
+    (event,) = collect_history(builder.path)
+    assert event.author == RawUser("Ann\u2028Lee", "ann@example.com")
+
+
+def test_non_utf8_names_stay_distinct(latin1_repo):
+    names = list(rf.LATIN1_FILES)
+    assert list_snapshot_files(latin1_repo.path, FilterRules.none()) == names
+    events = collect_history(latin1_repo.path)
+    assert sorted(e.path for e in events) == names
+    assert {e.author for e in events} == {RawUser(*rf.LATIN1_AUTHOR)}
+
+
+def test_history_reads_the_record_grammar(monkeypatch):
+    a, b, c = "a" * 64, "b" * 40, "c" * 64
+    # Newest first: a copy and a rename, an empty commit by an unnamed
+    # author, then an addition, a deletion and a modification.
+    out = (
+        f"\0{c}\0Cy\0c@x\nC075\0src.py\0copy.py\0R100\0old.py\0new.py\0"
+        f"\0\0{b}\0\0b@x"
+        f"\0\0{a}\0An\0a@x\nA\0old.py\0D\0gone.py\0M\0src.py\0"
+    )
+    monkeypatch.setattr(history, "run_git", lambda *_: out)
+    events = collect_history("unused")
+    assert events == [
+        ChangeEvent(a, RawUser("An", "a@x"), "old.py", ChangeKind.ADDITION, 0),
+        ChangeEvent(a, RawUser("An", "a@x"), "src.py", ChangeKind.MODIFICATION, 1),
+        ChangeEvent(c, RawUser("Cy", "c@x"), "new.py", ChangeKind.RENAME, 2, "old.py"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        "\0" + "c" * 40,
+        "\0" + "c" * 40 + "\0Cy",
+        "\0" + "c" * 40 + "\0Cy\0c@x\nM\0",
+        "\0" + "c" * 40 + "\0Cy\0c@x\nR100\0old.py\0",
+        "\0" + "c" * 40 + "\0Cy\0c@x\nA\0new.py\0R100\0old.py",
+    ],
+    ids=["id", "name", "change", "rename", "last-rename"],
+)
+def test_history_rejects_a_truncated_record(monkeypatch, out):
+    monkeypatch.setattr(history, "run_git", lambda *_: out)
+    with pytest.raises(GitInvocationFailed):
+        collect_history("unused")
+
+
+# --- round trip through git fast-import --------------------------------------
+
+# File names that a line-based or quoted reading of git's output can mangle.
+# "caf\udce9.py" stands for the lone byte 0xE9, which is not UTF-8.
+_ODD_NAMES = (
+    "tab\there.py",
+    "new\nline.py",
+    'quote".py',
+    "back\\slash.py",
+    " leading space.py",
+    "caf\udce9.py",
+    "line\u2028sep.py",
+    "0123456789abcdef0123456789abcdef01234567",
+    "R100",
+    "dir/plain.py",
+)
+_ODD_AUTHORS = (
+    RawUser("Ann\u2028Lee", "ann@example.com"),
+    RawUser(*rf.LATIN1_AUTHOR),
+    RawUser("Bo", "bo@example.com"),
+)
+# One commit: an author index and operations (op, file index, name index)
+# applied to the files present before it.
+_COMMITS = st.lists(
+    st.tuples(
+        st.integers(0, len(_ODD_AUTHORS) - 1),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("add", "modify", "rename", "delete")),
+                st.integers(0, 9),
+                st.integers(0, len(_ODD_NAMES) - 1),
+            ),
+            max_size=4,
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _quoted(path: str) -> bytes:
+    """``path`` in fast-import's C-style quoting, every byte kept."""
+    out = bytearray(b'"')
+    for byte in os.fsencode(path):
+        if byte in b'"\\':
+            out += b"\\" + bytes([byte])
+        elif 0x20 <= byte < 0x7F:
+            out.append(byte)
+        else:
+            out += b"\\%03o" % byte
+    return bytes(out + b'"')
+
+
+def _import_plan(repo: Path, commits) -> tuple[list[list[tuple]], set[str]]:
+    """Write ``commits`` into a new bare repository with ``git fast-import``.
+
+    Returns the planned events of each commit, as (author, kind, path,
+    old_path), and the paths present at the end. Every file gets lines no
+    other file has, so git pairs a rename only with its own source.
+    """
+    present: dict[str, int] = {}  # path -> id of the file's content
+    edits: dict[int, int] = {}
+    stream = bytearray()
+    planned = []
+    for tick, (who, operations) in enumerate(commits):
+        author = _ODD_AUTHORS[who]
+        ident = b"%s <%s> %d +0000" % (
+            os.fsencode(author.name), author.email.encode(), 1577836800 + tick
+        )
+        stream += b"commit refs/heads/main\nauthor %s\ncommitter %s\ndata 2\nc\n" % (
+            ident,
+            ident,
+        )
+        touched: set[str] = set()
+        changes = []
+        for op, pick, name_index in operations:
+            name = _ODD_NAMES[name_index]
+            existing = sorted(path for path in present if path not in touched)
+            if op == "add" and name not in present and name not in touched:
+                present[name] = len(edits)
+                edits[present[name]] = 0
+            elif op == "modify" and existing:
+                name = existing[pick % len(existing)]
+                edits[present[name]] += 1
+            elif op == "rename" and existing and name not in present.keys() | touched:
+                old = existing[pick % len(existing)]
+                present[name] = present.pop(old)
+                touched.update((old, name))
+                stream += b"R %s %s\n" % (_quoted(old), _quoted(name))
+                changes.append((author, ChangeKind.RENAME, name, old))
+                continue
+            elif op == "delete" and existing:
+                name = existing[pick % len(existing)]
+                del present[name]
+                touched.add(name)
+                stream += b"D %s\n" % _quoted(name)
+                continue
+            else:
+                continue
+            touched.add(name)
+            uid = present[name]
+            content = "".join(f"file {uid} edit {n}\n" for n in range(edits[uid] + 1))
+            stream += b"M 100644 inline %s\ndata %d\n%s\n" % (
+                _quoted(name),
+                len(content),
+                content.encode(),
+            )
+            kind = ChangeKind.ADDITION if edits[uid] == 0 else ChangeKind.MODIFICATION
+            changes.append((author, kind, name, None))
+        planned.append(changes)
+    env = {**os.environ, "GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"}
+    for command, data in (
+        (["git", "init", "-q", "--bare", "-b", "main", str(repo)], None),
+        (["git", "-C", str(repo), "fast-import", "--quiet"], bytes(stream)),
+    ):
+        subprocess.run(command, input=data, env=env, capture_output=True, check=True)
+    return planned, set(present)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COMMITS)
+@example(
+    [
+        (0, [("add", 0, 0), ("add", 0, 5), ("add", 0, 8), ("add", 0, 9)]),
+        (1, []),
+        (1, [("modify", 0, 0), ("rename", 1, 7), ("add", 0, 1)]),
+        (2, [("delete", 0, 0)]),
+        (0, [("rename", 0, 6), ("add", 0, 2), ("add", 0, 3), ("add", 0, 4)]),
+    ]
+)
+def test_history_and_snapshot_round_trip_through_fast_import(commits):
+    with tempfile.TemporaryDirectory() as scratch:
+        repo = Path(scratch) / "repo.git"
+        planned, final = _import_plan(repo, commits)
+        ids = subprocess.run(
+            ["git", "-C", str(repo), "rev-list", "--reverse", "HEAD"],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        events = collect_history(repo)
+        snapshot = list_snapshot_files(repo, FilterRules.none())
+    assert [e.order for e in events] == list(range(len(events)))
+    position = {commit_id: i for i, commit_id in enumerate(ids)}
+    got = [
+        (position[e.commit_id], e.author, e.kind.value, e.path, e.old_path)
+        for e in events
+    ]
+    want = [
+        (i, author, kind.value, path, old_path)
+        for i, changes in enumerate(planned)
+        for author, kind, path, old_path in changes
+    ]
+    assert sorted(got) == sorted(want)
+    assert [g[0] for g in got] == sorted(g[0] for g in got)
+    assert snapshot == sorted(final)
 
 
 # --- trace_files -----------------------------------------------------------

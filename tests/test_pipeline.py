@@ -1,3 +1,4 @@
+import json
 import random
 import threading
 import time
@@ -226,6 +227,60 @@ def test_shallow_clone_warns_that_history_is_truncated(tmp_path, two_author_repo
     assert any("shallow" in w and "truncated" in w for w in report.warnings)
 
 
+def test_blame_compare_ranks_files_with_non_utf8_names(latin1_repo):
+    config = AnalysisConfig(repo_path=str(latin1_repo.path), blame_compare=True)
+    agreement = run(config).blame_agreement
+    assert (agreement.files_sampled, agreement.blame_failures) == (4, 0)
+    assert agreement.top1_pct == 100.0
+
+
+def _json_report(path, **options) -> dict:
+    return json.loads(emit(run(AnalysisConfig(repo_path=str(path), **options)), "json"))
+
+
+def test_a_subdirectory_or_a_bare_clone_reports_like_the_root(
+    tmp_path, single_author_repo
+):
+    root = _json_report(single_author_repo.path, blame_compare=True)
+    del root["repository"]
+    assert root["totals"]["files"] == 3
+    bare = tmp_path / "bare.git"
+    single_author_repo.git("clone", "-q", "--bare", ".", str(bare))
+    for path in (single_author_repo.path / "src", bare):
+        report = _json_report(path, blame_compare=True)
+        assert report.pop("repository") == str(path)
+        assert report == root
+
+
+_SCRIPTED = (
+    rf.single_author_repo,
+    rf.two_author_repo,
+    rf.rename_repo,
+    rf.vendored_repo,
+    rf.bulk_import_repo,
+    rf.merge_repo,
+    rf.blame_overwrite_repo,
+    rf.aliased_repo,
+    rf.branched_repo,
+    rf.interleaved_blame_repo,
+    rf.carriage_return_repo,
+    rf.gitlink_repo,
+    rf.latin1_repo,
+)
+
+
+@pytest.mark.parametrize("build", _SCRIPTED, ids=lambda build: build.__name__)
+def test_sha256_repositories_report_like_sha1_ones(tmp_path, monkeypatch, build):
+    reports = {}
+    for object_format, id_length in (("sha1", 40), ("sha256", 64)):
+        build(tmp_path / object_format / "repo", object_format)
+        monkeypatch.chdir(tmp_path / object_format)
+        report = _json_report("repo", blame_compare=True)
+        assert len(report.pop("head_commit")) == id_length
+        reports[object_format] = report
+    assert reports["sha256"] == reports["sha1"]
+
+
 def test_branch_selection(branched_repo):
     on_main = run(AnalysisConfig(repo_path=str(branched_repo.path)))
     on_dev = run(AnalysisConfig(repo_path=str(branched_repo.path), branch="dev"))
@@ -256,5 +311,3 @@ def test_config_validation():
         run(AnalysisConfig(repo_path="x", k=1.5))
     with pytest.raises(ValueError):
         run(AnalysisConfig(repo_path="x", coverage=0.0))
-    with pytest.raises(ValueError):
-        run(AnalysisConfig(repo_path="x", output_format="yaml"))
