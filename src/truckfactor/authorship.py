@@ -166,7 +166,10 @@ def blame_rank(
     alias_map: Mapping[RawUser, DeveloperId],
     branch: str | None = None,
 ) -> list[tuple[DeveloperId, int]]:
-    """Developers ranked by how many of the file's lines they last touched.
+    """Developers ranked by how many of ``file``'s lines they last touched.
+
+    ``file`` is relative to ``repo_path``, as for ``git blame``; pass the
+    repository root (or its git directory) for a root-relative path.
 
     This is the independent signal used to sanity-check the change-based
     scores: surviving lines per developer, from ``git blame --porcelain``.

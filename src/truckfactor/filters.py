@@ -80,7 +80,7 @@ def compile_glob(pattern: str) -> re.Pattern[str]:
 
 def _parse_lines(text: str) -> list[str]:
     entries = []
-    for line in text.splitlines():
+    for line in text.split("\n"):
         line = line.strip()
         if line and not line.startswith("#"):
             entries.append(line)

@@ -9,7 +9,7 @@ a file's history survives being moved.
 from __future__ import annotations
 
 import subprocess
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -35,14 +35,12 @@ _STATUS_KINDS = {
 
 @dataclass(frozen=True)
 class ChangeEvent:
-    """One (commit, file) change. ``order`` increases with commit order,
-    oldest first, so events can be compared across files."""
+    """One (commit, file) change."""
 
     commit_id: str
     author: RawUser
     path: str
     kind: ChangeKind
-    order: int
     old_path: str | None = None
 
 
@@ -166,11 +164,12 @@ def list_snapshot_files(
     """Every file tracked at the snapshot, minus whatever the rules exclude.
 
     Only blob entries count: regular files and symlinks, not the gitlinks
-    that record submodules. Returned sorted, as repository-relative paths.
+    that record submodules. Returned sorted, as paths relative to the
+    repository root even when ``repo_path`` is a subdirectory of it.
     """
     rules = rules if rules is not None else FilterRules()
     out = _run_at_revision(
-        repo_path, branch, ["ls-tree", "-r", "-z", branch or "HEAD"]
+        repo_path, branch, ["ls-tree", "-r", "-z", "--full-tree", branch or "HEAD"]
     )
     # Each entry is "<mode> <type> <object>\t<path>", ended by a NUL.
     entries = (entry.partition("\t") for entry in out.split("\0")[:-1])
@@ -236,58 +235,43 @@ def collect_history(
             i += width
             status = tokens[i] if i < end else ""
             i += 1
-    events: list[ChangeEvent] = []
-    order = 0
-    for commit_id, author, commit_changes in reversed(blocks):
-        for kind, path, old_path in commit_changes:
-            events.append(ChangeEvent(commit_id, author, path, kind, order, old_path))
-            order += 1
-    return events
+    return [
+        ChangeEvent(commit_id, author, path, kind, old_path)
+        for commit_id, author, commit_changes in reversed(blocks)
+        for kind, path, old_path in commit_changes
+    ]
 
 
 def trace_files(
-    events: Iterable[ChangeEvent], targets: Iterable[str]
+    events: Sequence[ChangeEvent], targets: Iterable[str]
 ) -> list[FileTrace]:
-    """Reconstruct each target's history by walking its rename chain backwards.
+    """Reconstruct each target's history in one newest-first replay.
 
-    Starting from the newest event at the target path, a rename jumps the
-    walk to the old path, bounded to events older than the rename so an
-    unrelated file later created at the old path is not absorbed. The same
-    boundary applies in the other direction: a path's current identity
-    reaches back only to its latest rename-away, because everything earlier
-    belongs to the file that moved. Traces come back in target order, each
-    with events oldest first.
+    ``live`` maps each path to the trace of the file found there at the
+    current point of the replay, starting from the targets. An event at a
+    live path joins that trace. An addition means the path was absent
+    before, so it ends the tracking there: an older file at the same path
+    is a different file. A rename ``X -> Y`` ends the tracking of both
+    paths, since older events at ``X`` belong to the file that moved, and
+    carries ``Y``'s trace, if any, back to ``X``. Traces come back in target
+    order, one per distinct target, each with events oldest first.
     """
-    by_path: dict[str, list[ChangeEvent]] = defaultdict(list)
-    renamed_away: dict[str, list[int]] = defaultdict(list)
-    for event in events:
-        by_path[event.path].append(event)
-        if event.kind is ChangeKind.RENAME and event.old_path is not None:
-            renamed_away[event.old_path].append(event.order)
-    traces = []
-    for target in targets:
-        collected: list[ChangeEvent] = []
-        needle: str | None = target
-        horizon: int | None = None  # exclusive upper bound on event order
-        while needle is not None:
-            floor: int | None = None  # latest rename-away below the horizon
-            for order in renamed_away.get(needle, ()):
-                if horizon is None or order < horizon:
-                    floor = order if floor is None else max(floor, order)
-            chain = by_path.get(needle, ())
-            needle = None
-            for event in reversed(chain):
-                if horizon is not None and event.order >= horizon:
-                    continue
-                if floor is not None and event.order < floor:
-                    break
-                collected.append(event)
-                if event.kind is ChangeKind.RENAME and event.old_path is not None:
-                    needle, horizon = event.old_path, event.order
-                    break
-        collected.reverse()
-        traces.append(FileTrace(current_path=target, events=collected))
-    return traces
+    traces = {target: FileTrace(target, []) for target in targets}
+    live = dict(traces)
+    for event in reversed(events):
+        trace = live.get(event.path)
+        if trace is not None:
+            trace.events.append(event)
+        if event.kind is ChangeKind.ADDITION:
+            live.pop(event.path, None)
+        elif event.kind is ChangeKind.RENAME and event.old_path is not None:
+            live.pop(event.path, None)
+            live.pop(event.old_path, None)
+            if trace is not None:
+                live[event.old_path] = trace
+    for trace in traces.values():
+        trace.events.reverse()
+    return list(traces.values())
 
 
 def check_migration(traces: Sequence[FileTrace]) -> MigrationVerdict:

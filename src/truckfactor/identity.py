@@ -241,7 +241,7 @@ def load_alias_overrides(path: str | Path) -> dict[str, str]:
     """
     overrides: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

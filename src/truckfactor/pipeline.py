@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import random
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import authorship, estimate, history, identity
 from .errors import BlameFailed
@@ -72,34 +72,29 @@ def _blame_workers() -> int:
 
 
 def _blame_agreement(
-    config: AnalysisConfig,
-    commit: str,
+    revision: history.Revision,
     targets: list[str],
-    records: list[authorship.AuthorshipRecord],
+    author_map: authorship.AuthorFileMap,
     alias_map: dict[identity.RawUser, identity.DeveloperId],
+    seed: int,
 ) -> BlameAgreement:
     """Sample files and compare their authors against blame rankings.
 
-    The sampled files are blamed at ``commit`` on a pool of
+    The sampled files are blamed at the resolved commit on a pool of
     :func:`_blame_workers` threads, each waiting on one ``git blame``
-    process, and the rankings are tallied in sample order. A file that
-    blame cannot rank counts as one failure.
+    process. A file that blame cannot rank counts as one failure.
     """
     # Imported here so that runs without a blame sample do not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    authors_by_file: dict[str, set[identity.DeveloperId]] = defaultdict(set)
-    for record in records:
-        if record.is_author:
-            authors_by_file[record.file].add(record.developer)
     sample = sorted(targets)
     if len(sample) > BLAME_SAMPLE_SIZE:
-        sample = sorted(random.Random(config.seed).sample(sample, BLAME_SAMPLE_SIZE))
+        sample = sorted(random.Random(seed).sample(sample, BLAME_SAMPLE_SIZE))
 
     def rank(file: str) -> list[tuple[identity.DeveloperId, int]] | None:
         try:
             return authorship.blame_rank(
-                config.repo_path, file, alias_map, branch=commit
+                revision.git_dir, file, alias_map, branch=revision.commit
             )
         except BlameFailed:
             return None
@@ -107,22 +102,18 @@ def _blame_agreement(
     with ThreadPoolExecutor(max_workers=_blame_workers()) as executor:
         rankings = list(executor.map(rank, sample))
 
-    top1 = top3 = none = pairs = failures = 0
-    for file, ranking in zip(sample, rankings):
-        if ranking is None:
-            failures += 1
-            continue
-        ranked = [dev for dev, _ in ranking]
-        for author in sorted(
-            authors_by_file.get(file, ()), key=lambda d: d.canonical_name
-        ):
+    ranked = {
+        file: [dev for dev, _ in ranking]
+        for file, ranking in zip(sample, rankings)
+        if ranking is not None
+    }
+    top1 = top3 = none = pairs = 0
+    for author, files in author_map.entries.items():
+        for file in files & ranked.keys():
             pairs += 1
-            if author in ranked[:1]:
-                top1 += 1
-            if author in ranked[:3]:
-                top3 += 1
-            if author not in ranked:
-                none += 1
+            top1 += author in ranked[file][:1]
+            top3 += author in ranked[file][:3]
+            none += author not in ranked[file]
 
     def pct(n: int) -> float:
         return 100.0 * n / pairs if pairs else 0.0
@@ -133,8 +124,8 @@ def _blame_agreement(
         top1_pct=pct(top1),
         top3_pct=pct(top3),
         none_pct=pct(none),
-        blame_failures=failures,
-        seed=config.seed,
+        blame_failures=len(sample) - len(ranked),
+        seed=seed,
     )
 
 
@@ -213,11 +204,7 @@ def run(config: AnalysisConfig) -> Report:
     blame = None
     if config.blame_compare:
         blame = _blame_agreement(
-            replace(config, repo_path=revision.git_dir),
-            revision.commit,
-            targets,
-            records,
-            alias_map,
+            revision, targets, author_map, alias_map, config.seed
         )
 
     developers = set(alias_map.values())

@@ -36,7 +36,7 @@ def make_trace(path, *steps):
     for order, (name, kind) in enumerate(steps):
         user = RawUser(name, f"{name.lower()}@example.com")
         alias_map[user] = DeveloperId(name, frozenset({user}))
-        events.append(ChangeEvent(f"c{order}", user, path, kind, order))
+        events.append(ChangeEvent(f"c{order}", user, path, kind))
     return FileTrace(current_path=path, events=events), alias_map
 
 
@@ -141,7 +141,8 @@ def test_accumulate_empty_trace():
 
 
 def test_accumulate_first_addition_wins():
-    # A deletion dropped from history can leave two additions; first wins.
+    # trace_files ends a trace at its addition, so it no longer yields two;
+    # a hand-built trace still can, and the first addition wins.
     trace, alias_map = make_trace(
         "f.py",
         ("Xena", ChangeKind.ADDITION),

@@ -1,5 +1,6 @@
 import json
 
+import repo_fixtures as rf
 from truckfactor.cli import main
 from truckfactor.report import parse_json
 
@@ -130,3 +131,16 @@ def test_alias_file_flag(aliased_repo, tmp_path, capfd):
     payload = json.loads(capfd.readouterr().out)
     assert payload["totals"]["developers"] == 1
     assert payload["removed"][0]["developer"] == "Robert"
+
+
+def test_a_file_recreated_at_a_deleted_path_starts_a_new_history(tmp_path, capfd):
+    builder = rf.RepoBuilder(tmp_path / "recreated")
+    builder.commit_file("f.py", "a = 1\n", "add f", rf.ALICE)
+    builder.commit_file("f.py", "a = 2\n", "edit f", rf.ALICE)
+    builder.commit_file("f.py", "a = 3\n", "edit f again", rf.ALICE)
+    builder.git("rm", "-q", "f.py")
+    builder.git("commit", "-q", "-m", "remove f", user=rf.ALICE)
+    builder.commit_file("f.py", "b = 1\n", "new f", rf.BOB)
+    assert main([str(builder.path), "--format", "json"]) == 0
+    report = parse_json(capfd.readouterr().out)
+    assert [(r.developer, r.authored_files) for r in report.removed] == [("Bob", 1)]

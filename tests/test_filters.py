@@ -95,6 +95,15 @@ def test_pattern_and_path_files_share_the_line_format(tmp_path):
     assert load_pattern_file(listing) == ["*.gen.go", "build/**"]
 
 
+def test_pattern_files_break_lines_only_at_newlines(tmp_path):
+    listing = tmp_path / "ignore.txt"
+    listing.write_text("docs/a\u2028b.md\r\nsrc/gen\r\n", encoding="utf-8")
+    assert load_pattern_file(listing) == ["docs/a\u2028b.md", "src/gen"]
+    rules = FilterRules(ignore_paths=load_pattern_file(listing), builtin_vendored=[])
+    assert rules.matches("docs/a\u2028b.md")
+    assert not rules.matches("b.md")
+
+
 _PATHS = st.lists(
     st.builds(
         "/".join,

@@ -30,8 +30,8 @@ from truckfactor.identity import RawUser
 def _trace_of(path, *commit_kind_pairs):
     """Build a synthetic FileTrace: (commit_id, kind) tuples, oldest first."""
     events = [
-        ChangeEvent(commit_id, RawUser("Dev", "dev@example.com"), path, kind, order)
-        for order, (commit_id, kind) in enumerate(commit_kind_pairs)
+        ChangeEvent(commit_id, RawUser("Dev", "dev@example.com"), path, kind)
+        for commit_id, kind in commit_kind_pairs
     ]
     return FileTrace(current_path=path, events=events)
 
@@ -95,6 +95,18 @@ def test_snapshot_keeps_blobs_and_symlinks_but_not_gitlinks(gitlink_repo):
     assert files == ["src/app.py", "src/link.py"]
 
 
+def test_library_traces_are_the_same_from_a_subdirectory(single_author_repo):
+    def traces(path):
+        return trace_files(
+            collect_history(path), list_snapshot_files(path, FilterRules.none())
+        )
+
+    from_root = traces(single_author_repo.path)
+    assert [t.current_path for t in from_root] == ["src/f1.py", "src/f2.py", "src/f3.py"]
+    assert all(t.complete for t in from_root)
+    assert traces(single_author_repo.path / "src") == from_root
+
+
 # --- resolve_revision ------------------------------------------------------
 
 
@@ -135,7 +147,9 @@ def test_history_yields_additions_oldest_first(single_author_repo):
     events = collect_history(single_author_repo.path)
     assert [e.path for e in events] == ["src/f1.py", "src/f2.py", "src/f3.py"]
     assert all(e.kind is ChangeKind.ADDITION for e in events)
-    assert [e.order for e in events] == [0, 1, 2]
+    assert [e.commit_id for e in events] == single_author_repo.git(
+        "rev-list", "--reverse", "HEAD"
+    ).split()
     assert events[0].author == RawUser("Alice", "alice@example.com")
     assert len({e.commit_id for e in events}) == 3
 
@@ -179,7 +193,6 @@ def test_history_counts_modifications(two_author_repo):
         ChangeKind.MODIFICATION,
         ChangeKind.MODIFICATION,
     ]
-    assert [e.order for e in events] == sorted(e.order for e in events)
 
 
 def test_history_requires_a_repository(tmp_path):
@@ -225,9 +238,9 @@ def test_history_reads_the_record_grammar(monkeypatch):
     monkeypatch.setattr(history, "run_git", lambda *_: out)
     events = collect_history("unused")
     assert events == [
-        ChangeEvent(a, RawUser("An", "a@x"), "old.py", ChangeKind.ADDITION, 0),
-        ChangeEvent(a, RawUser("An", "a@x"), "src.py", ChangeKind.MODIFICATION, 1),
-        ChangeEvent(c, RawUser("Cy", "c@x"), "new.py", ChangeKind.RENAME, 2, "old.py"),
+        ChangeEvent(a, RawUser("An", "a@x"), "old.py", ChangeKind.ADDITION),
+        ChangeEvent(a, RawUser("An", "a@x"), "src.py", ChangeKind.MODIFICATION),
+        ChangeEvent(c, RawUser("Cy", "c@x"), "new.py", ChangeKind.RENAME, "old.py"),
     ]
 
 
@@ -301,12 +314,15 @@ def _quoted(path: str) -> bytes:
     return bytes(out + b'"')
 
 
-def _import_plan(repo: Path, commits) -> tuple[list[list[tuple]], set[str]]:
+def _import_plan(repo: Path, commits) -> tuple[list[list[tuple]], dict[str, int]]:
     """Write ``commits`` into a new bare repository with ``git fast-import``.
 
     Returns the planned events of each commit, as (author, kind, path,
-    old_path), and the paths present at the end. Every file gets lines no
-    other file has, so git pairs a rename only with its own source.
+    old_path, identity), and the paths present at the end mapped to their
+    identities. A file keeps its identity through renames; a file added at
+    a path gets a new one, even where an earlier file was deleted or moved
+    away. Every file gets lines no other file has, so git pairs a rename
+    only with its own source.
     """
     present: dict[str, int] = {}  # path -> id of the file's content
     edits: dict[int, int] = {}
@@ -337,7 +353,7 @@ def _import_plan(repo: Path, commits) -> tuple[list[list[tuple]], set[str]]:
                 present[name] = present.pop(old)
                 touched.update((old, name))
                 stream += b"R %s %s\n" % (_quoted(old), _quoted(name))
-                changes.append((author, ChangeKind.RENAME, name, old))
+                changes.append((author, ChangeKind.RENAME, name, old, present[name]))
                 continue
             elif op == "delete" and existing:
                 name = existing[pick % len(existing)]
@@ -356,7 +372,7 @@ def _import_plan(repo: Path, commits) -> tuple[list[list[tuple]], set[str]]:
                 content.encode(),
             )
             kind = ChangeKind.ADDITION if edits[uid] == 0 else ChangeKind.MODIFICATION
-            changes.append((author, kind, name, None))
+            changes.append((author, kind, name, None, uid))
         planned.append(changes)
     env = {**os.environ, "GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"}
     for command, data in (
@@ -364,7 +380,17 @@ def _import_plan(repo: Path, commits) -> tuple[list[list[tuple]], set[str]]:
         (["git", "-C", str(repo), "fast-import", "--quiet"], bytes(stream)),
     ):
         subprocess.run(command, input=data, env=env, capture_output=True, check=True)
-    return planned, set(present)
+    return planned, present
+
+
+def _commit_ids(repo: Path) -> list[str]:
+    """The repository's commit ids, oldest first."""
+    return subprocess.run(
+        ["git", "-C", str(repo), "rev-list", "--reverse", "HEAD"],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
 
 
 @settings(max_examples=40, deadline=None)
@@ -382,15 +408,9 @@ def test_history_and_snapshot_round_trip_through_fast_import(commits):
     with tempfile.TemporaryDirectory() as scratch:
         repo = Path(scratch) / "repo.git"
         planned, final = _import_plan(repo, commits)
-        ids = subprocess.run(
-            ["git", "-C", str(repo), "rev-list", "--reverse", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.split()
+        ids = _commit_ids(repo)
         events = collect_history(repo)
         snapshot = list_snapshot_files(repo, FilterRules.none())
-    assert [e.order for e in events] == list(range(len(events)))
     position = {commit_id: i for i, commit_id in enumerate(ids)}
     got = [
         (position[e.commit_id], e.author, e.kind.value, e.path, e.old_path)
@@ -399,11 +419,59 @@ def test_history_and_snapshot_round_trip_through_fast_import(commits):
     want = [
         (i, author, kind.value, path, old_path)
         for i, changes in enumerate(planned)
-        for author, kind, path, old_path in changes
+        for author, kind, path, old_path, _ in changes
     ]
     assert sorted(got) == sorted(want)
     assert [g[0] for g in got] == sorted(g[0] for g in got)
     assert snapshot == sorted(final)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COMMITS)
+@example(  # delete a file, then add a new one under the same name
+    [
+        (0, [("add", 0, 9)]),
+        (1, [("modify", 0, 0)]),
+        (1, [("delete", 0, 0)]),
+        (2, [("add", 0, 9)]),
+    ]
+)
+@example(  # rename a file away, then reuse its old name
+    [
+        (0, [("add", 0, 9)]),
+        (1, [("rename", 0, 3)]),
+        (2, [("add", 0, 9)]),
+        (0, [("modify", 1, 0)]),
+    ]
+)
+@example(  # rename one file twice
+    [
+        (0, [("add", 0, 9), ("add", 0, 0)]),
+        (1, [("rename", 0, 3)]),
+        (2, [("modify", 0, 0)]),
+        (0, [("rename", 0, 8)]),
+    ]
+)
+def test_traces_hold_exactly_the_changes_of_each_file(commits):
+    with tempfile.TemporaryDirectory() as scratch:
+        repo = Path(scratch) / "repo.git"
+        planned, final = _import_plan(repo, commits)
+        ids = _commit_ids(repo)
+        traces = trace_files(
+            collect_history(repo), list_snapshot_files(repo, FilterRules.none())
+        )
+    assert [trace.current_path for trace in traces] == sorted(final)
+    for trace in traces:
+        got = [
+            (e.commit_id, e.author, e.kind, e.path, e.old_path) for e in trace.events
+        ]
+        want = [
+            (ids[i], author, kind, path, old_path)
+            for i, changes in enumerate(planned)
+            for author, kind, path, old_path, identity in changes
+            if identity == final[trace.current_path]
+        ]
+        assert got == want
 
 
 # --- trace_files -----------------------------------------------------------
@@ -449,12 +517,13 @@ def test_traces_come_back_in_target_order(two_author_repo):
 def test_trace_events_are_ordered_and_disjoint(two_author_repo):
     events = collect_history(two_author_repo.path)
     traces = trace_files(events, ["f1.py", "f2.py", "f3.py", "f4.py"])
+    position = {event: i for i, event in enumerate(events)}
     seen = set()
     for trace in traces:
-        orders = [e.order for e in trace.events]
-        assert orders == sorted(orders)
-        assert not (set(orders) & seen)
-        seen |= set(orders)
+        positions = [position[e] for e in trace.events]
+        assert positions == sorted(positions)
+        assert not (set(positions) & seen)
+        seen |= set(positions)
 
 
 # --- check_migration -------------------------------------------------------
@@ -497,7 +566,7 @@ def test_migration_check_handles_no_traces_and_no_additions():
     incomplete = [
         FileTrace(
             "f.py",
-            [ChangeEvent("c1", RawUser("D", "d@x"), "f.py", ChangeKind.MODIFICATION, 0)],
+            [ChangeEvent("c1", RawUser("D", "d@x"), "f.py", ChangeKind.MODIFICATION)],
         )
     ]
     verdict = check_migration(incomplete)

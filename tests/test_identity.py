@@ -279,6 +279,15 @@ def test_override_keys_match_case_insensitively(tmp_path):
     assert next(iter(mapping.values())).canonical_name == "The Real Bob"
 
 
+def test_override_file_breaks_lines_only_at_newlines(tmp_path):
+    rules = tmp_path / "aliases.txt"
+    rules.write_text("Ann\u2028Lee => Ann Lee\r\n", encoding="utf-8")
+    overrides = load_alias_overrides(rules)
+    assert overrides == {"ann\u2028lee": "Ann Lee"}
+    mapping = resolve_aliases([RawUser("Ann\u2028Lee", "ann@x.com")], overrides=overrides)
+    assert next(iter(mapping.values())).canonical_name == "Ann Lee"
+
+
 def test_malformed_override_line_is_rejected(tmp_path):
     rules = tmp_path / "aliases.txt"
     rules.write_text("this line has no arrow\n", encoding="utf-8")

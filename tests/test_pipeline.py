@@ -2,13 +2,15 @@ import json
 import random
 import threading
 import time
+from collections import defaultdict
 
 import pytest
 
 import repo_fixtures as rf
 from truckfactor import authorship, history, pipeline
-from truckfactor.authorship import AuthorshipRecord
+from truckfactor.authorship import AuthorFileMap
 from truckfactor.errors import BlameFailed
+from truckfactor.history import Revision
 from truckfactor.identity import DeveloperId, RawUser
 from truckfactor.pipeline import AnalysisConfig, run
 from truckfactor.report import emit
@@ -138,11 +140,10 @@ def test_blame_pool_tallies_like_a_sequential_loop(monkeypatch):
         for name in "ABCDE"
     ]
     files = [f"f{i:02d}.py" for i in range(40)]
-    records = [
-        AuthorshipRecord(developers[(i * step) % 5], file, 1, 1, 0, 4.0, 1.0, True)
-        for i, file in enumerate(files)
-        for step in (1, 2)
-    ]
+    author_map = AuthorFileMap(defaultdict(set))
+    for i, file in enumerate(files):
+        for step in (1, 2):
+            author_map.entries[developers[(i * step) % 5]].add(file)
     lock = threading.Lock()
     running = peak = 0
 
@@ -162,13 +163,13 @@ def test_blame_pool_tallies_like_a_sequential_loop(monkeypatch):
                 running -= 1
 
     monkeypatch.setattr(authorship, "blame_rank", fake_blame_rank)
-    config = AnalysisConfig(repo_path="unused", seed=4)
+    revision = Revision("c0ffee", False, "unused")
     monkeypatch.setattr(pipeline, "_blame_workers", lambda: 1)
-    sequential = pipeline._blame_agreement(config, "c0ffee", files, records, {})
+    sequential = pipeline._blame_agreement(revision, files, author_map, {}, 4)
     assert peak == 1
     peak = 0
     monkeypatch.setattr(pipeline, "_blame_workers", lambda: 4)
-    pooled = pipeline._blame_agreement(config, "c0ffee", files, records, {})
+    pooled = pipeline._blame_agreement(revision, files, author_map, {}, 4)
     assert 1 < peak <= 4
     assert pooled == sequential
     assert pooled.blame_failures == 6
