@@ -14,48 +14,15 @@ Typical library use::
     print(report.truck_factor)
 
 The same pipeline is available on the command line as ``truckfactor``.
+Its stages are exported here too; every other name is importable from its
+own module.
 """
 
-from .authorship import (
-    AuthorFileMap,
-    AuthorshipRecord,
-    Thresholds,
-    accumulate,
-    author_ratio,
-    blame_rank,
-    doa,
-    normalize,
-    score_trace,
-    select_authors,
-)
-from .errors import (
-    BlameFailed,
-    DivisionUndefined,
-    EmptyRepository,
-    GitInvocationFailed,
-    NotARepository,
-    TruckFactorError,
-)
-from .estimate import RemovalStep, TruckFactorResult, truck_factor
-from .filters import FilterRules, builtin_patterns, compile_glob
-from .history import (
-    ChangeEvent,
-    ChangeKind,
-    FileTrace,
-    MigrationVerdict,
-    check_migration,
-    collect_history,
-    list_snapshot_files,
-    trace_files,
-)
-from .identity import (
-    DeveloperId,
-    RawUser,
-    levenshtein,
-    load_alias_overrides,
-    name_merge_candidates,
-    resolve_aliases,
-)
+from .authorship import blame_rank, score_trace, select_authors
+from .errors import TruckFactorError
+from .estimate import truck_factor
+from .history import collect_history, list_snapshot_files, trace_files
+from .identity import resolve_aliases
 from .pipeline import AnalysisConfig, run
 from .report import Report, emit, parse_json
 
@@ -63,45 +30,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisConfig",
-    "AuthorFileMap",
-    "AuthorshipRecord",
-    "BlameFailed",
-    "ChangeEvent",
-    "ChangeKind",
-    "DeveloperId",
-    "DivisionUndefined",
-    "EmptyRepository",
-    "FileTrace",
-    "FilterRules",
-    "GitInvocationFailed",
-    "MigrationVerdict",
-    "NotARepository",
-    "RawUser",
-    "RemovalStep",
-    "Report",
-    "Thresholds",
-    "TruckFactorError",
-    "TruckFactorResult",
-    "accumulate",
-    "author_ratio",
-    "blame_rank",
-    "builtin_patterns",
-    "check_migration",
-    "collect_history",
-    "compile_glob",
-    "doa",
-    "emit",
-    "levenshtein",
-    "list_snapshot_files",
-    "load_alias_overrides",
-    "name_merge_candidates",
-    "normalize",
-    "parse_json",
-    "resolve_aliases",
     "run",
+    "Report",
+    "emit",
+    "parse_json",
+    "TruckFactorError",
+    "list_snapshot_files",
+    "collect_history",
+    "trace_files",
+    "resolve_aliases",
     "score_trace",
     "select_authors",
-    "trace_files",
     "truck_factor",
+    "blame_rank",
     "__version__",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import BlameFailed, DivisionUndefined, GitInvocationFailed
+from .errors import BlameFailed, GitInvocationFailed
 from .history import ChangeKind, FileTrace, run_git
 from .identity import DeveloperId, RawUser
 
@@ -36,18 +36,6 @@ _BLAME_HEADER = re.compile(r"([0-9a-f]{40,}) \d+ \d+(?: \d+)?")
 
 
 @dataclass
-class Thresholds:
-    """Author-selection thresholds.
-
-    ``k`` is the normalized-score cut (strict) and ``m`` the absolute floor
-    (inclusive) that keeps near-zero-signal files from gaining authors.
-    """
-
-    k: float = 0.75
-    m: float = DOA_INTERCEPT
-
-
-@dataclass
 class AuthorshipRecord:
     """One developer's standing on one file."""
 
@@ -58,7 +46,6 @@ class AuthorshipRecord:
     ac: int
     doa_abs: float
     doa_norm: float = 0.0
-    is_author: bool = False
 
 
 @dataclass
@@ -139,22 +126,19 @@ def score_trace(
 
 
 def select_authors(
-    records: Iterable[AuthorshipRecord], thresholds: Thresholds | None = None
+    records: Iterable[AuthorshipRecord], k: float = 0.75, m: float = DOA_INTERCEPT
 ) -> AuthorFileMap:
-    """Mark each record's author flag and collect the author -> files map.
+    """Collect the author -> files map of the records that pass both cuts.
 
-    A developer authors a file when doa_norm > k and doa_abs >= m. Files
-    whose best score is not positive get no authors at all, because
-    :func:`normalize` sets their normalized scores to 0.0 and ``k`` is not
-    negative.
+    A developer authors a file when doa_norm > k (strict) and doa_abs >= m
+    (inclusive); the floor ``m`` keeps near-zero-signal files from gaining
+    authors. Files whose best score is not positive get no authors at all,
+    because :func:`normalize` sets their normalized scores to 0.0 and ``k``
+    is not negative.
     """
-    thresholds = thresholds or Thresholds()
     entries: dict[DeveloperId, set[str]] = defaultdict(set)
     for record in records:
-        record.is_author = (
-            record.doa_norm > thresholds.k and record.doa_abs >= thresholds.m
-        )
-        if record.is_author:
+        if record.doa_norm > k and record.doa_abs >= m:
             entries[record.developer].add(record.file)
     ordered = sorted(entries.items(), key=lambda kv: kv[0].canonical_name)
     return AuthorFileMap({dev: files for dev, files in ordered})
@@ -182,10 +166,12 @@ def blame_rank(
     developers. Raises :class:`BlameFailed` when git cannot blame the file
     or its output counts lines for a commit it never names an author for.
     """
+    # A blame.ignoreRevsFile in the user's config would hand lines to other
+    # commits, or fail every blame when the file is missing; no -c value
+    # clears it, only --no-ignore-revs-file does.
+    args = ["blame", "--porcelain", "--no-ignore-revs-file", branch or "HEAD"]
     try:
-        out = run_git(
-            repo_path, ["blame", "--porcelain", branch or "HEAD", "--", file]
-        )
+        out = run_git(repo_path, [*args, "--", file])
     except GitInvocationFailed as exc:
         raise BlameFailed(f"blame failed for {file}: {exc.stderr or exc}") from exc
     lines_by_commit: dict[str, int] = defaultdict(int)
@@ -215,8 +201,9 @@ def blame_rank(
 def author_ratio(
     developers: Iterable[DeveloperId], author_map: AuthorFileMap
 ) -> float:
-    """Fraction of developers who author at least one file."""
+    """Fraction of developers who author at least one file; 0.0 when there
+    are no developers."""
     population = set(developers)
     if not population:
-        raise DivisionUndefined("author ratio is undefined without developers")
+        return 0.0
     return len(set(author_map.entries)) / len(population)

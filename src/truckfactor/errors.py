@@ -25,7 +25,3 @@ class GitInvocationFailed(TruckFactorError):
 
 class BlameFailed(TruckFactorError):
     """git blame could not produce a ranking for a file."""
-
-
-class DivisionUndefined(TruckFactorError):
-    """A ratio was requested over an empty denominator."""

@@ -13,11 +13,12 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import EmptyRepository, GitInvocationFailed, NotARepository
 from .filters import FilterRules
 from .identity import RawUser
+from .report import MigrationSummary
 
 
 class ChangeKind(Enum):
@@ -57,13 +58,20 @@ class FileTrace:
         return bool(self.events) and self.events[0].kind is ChangeKind.ADDITION
 
 
-@dataclass(frozen=True)
-class MigrationVerdict:
-    """Outcome of the botched-migration heuristic (see :func:`check_migration`)."""
-
-    suspicious: bool
-    fraction_covered: float
-    adding_commits: int
+# Settings that would change what git prints, pinned on every command so a
+# user's or system's git config cannot change the answer: log lists the root
+# commit's additions, prints no signature verdicts and names authors in
+# UTF-8; rename detection is never skipped for a large change; and blame
+# reads no mailmap, since log's %an never does (a bare repository would
+# otherwise read HEAD:.mailmap).
+_PINNED_CONFIG = (
+    "-c", "log.showRoot=true",
+    "-c", "log.showSignature=false",
+    "-c", "i18n.logOutputEncoding=UTF-8",
+    "-c", "diff.renameLimit=0",
+    "-c", "mailmap.file=",
+    "-c", "mailmap.blob=",
+)
 
 
 def run_git(repo_path: str | Path, args: Sequence[str]) -> str:
@@ -78,7 +86,9 @@ def run_git(repo_path: str | Path, args: Sequence[str]) -> str:
     """
     command = ["git", *args]
     try:
-        proc = subprocess.run(command, cwd=str(repo_path), capture_output=True)
+        proc = subprocess.run(
+            ["git", *_PINNED_CONFIG, *args], cwd=str(repo_path), capture_output=True
+        )
     except OSError as exc:
         raise GitInvocationFailed(" ".join(command), str(exc)) from exc
     if proc.returncode != 0:
@@ -274,7 +284,7 @@ def trace_files(
     return list(traces.values())
 
 
-def check_migration(traces: Sequence[FileTrace]) -> MigrationVerdict:
+def check_migration(traces: Sequence[FileTrace]) -> MigrationSummary:
     """Flag histories where most files appeared in just a few commits.
 
     Repositories imported from another VCS (or squashed) credit whole code
@@ -292,7 +302,7 @@ def check_migration(traces: Sequence[FileTrace]) -> MigrationVerdict:
         if first is not None:
             adders[first.commit_id] += 1
     if total == 0 or not adders:
-        return MigrationVerdict(False, 0.0, 0)
+        return MigrationSummary(checked=True)
     covered = 0
     chosen = 0
     fraction = 0.0
@@ -302,4 +312,9 @@ def check_migration(traces: Sequence[FileTrace]) -> MigrationVerdict:
         fraction = covered / total
         if fraction > 0.5:
             break
-    return MigrationVerdict(fraction > 0.5 and chosen < 20, fraction, chosen)
+    return MigrationSummary(
+        checked=True,
+        suspicious=fraction > 0.5 and chosen < 20,
+        fraction_covered=fraction,
+        adding_commits=chosen,
+    )

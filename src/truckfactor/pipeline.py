@@ -139,10 +139,10 @@ def run(config: AnalysisConfig) -> Report:
     )
     events = history.collect_history(revision.git_dir, branch=revision.commit)
 
-    users = {event.author for event in events}
     commits_by_user: dict[identity.RawUser, set[str]] = defaultdict(set)
     for event in events:
         commits_by_user[event.author].add(event.commit_id)
+    users = commits_by_user.keys()
     counts = {user: len(ids) for user, ids in commits_by_user.items()}
     overrides = (
         identity.load_alias_overrides(config.alias_file) if config.alias_file else None
@@ -165,8 +165,7 @@ def run(config: AnalysisConfig) -> Report:
     records: list[authorship.AuthorshipRecord] = []
     for trace in traces:
         records.extend(authorship.score_trace(trace, alias_map))
-    thresholds = authorship.Thresholds(k=config.k, m=config.m)
-    author_map = authorship.select_authors(records, thresholds)
+    author_map = authorship.select_authors(records, k=config.k, m=config.m)
 
     universe = set(targets) if config.universe == "all-files" else None
     result = estimate.truck_factor(
@@ -175,21 +174,17 @@ def run(config: AnalysisConfig) -> Report:
     low_initial = result.tf == 0 and result.initial_coverage < config.coverage
 
     warnings: list[str] = []
-    migration = MigrationSummary(checked=False)
-    if config.migration_check:
-        verdict = history.check_migration(traces)
-        migration = MigrationSummary(
-            checked=True,
-            suspicious=verdict.suspicious,
-            fraction_covered=verdict.fraction_covered,
-            adding_commits=verdict.adding_commits,
+    migration = (
+        history.check_migration(traces)
+        if config.migration_check
+        else MigrationSummary(checked=False)
+    )
+    if migration.suspicious:
+        warnings.append(
+            f"possible history migration: {migration.fraction_covered:.0%} of "
+            f"files were added in only {migration.adding_commits} commit(s); "
+            "authorship may be unreliable"
         )
-        if verdict.suspicious:
-            warnings.append(
-                f"possible history migration: {verdict.fraction_covered:.0%} of "
-                f"files were added in only {verdict.adding_commits} commit(s); "
-                "authorship may be unreliable"
-            )
     if low_initial:
         warnings.append(
             "authored-file coverage starts below the coverage threshold; "
@@ -208,7 +203,7 @@ def run(config: AnalysisConfig) -> Report:
         )
 
     developers = set(alias_map.values())
-    ratio = authorship.author_ratio(developers, author_map) if developers else 0.0
+    ratio = authorship.author_ratio(developers, author_map)
     totals = {
         "developers": len(developers),
         "authors": len(author_map.entries),

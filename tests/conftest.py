@@ -1,6 +1,19 @@
+import os
+
 import pytest
 
 import repo_fixtures as rf
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _hermetic_git():
+    """Keep every git the tests start, the package's own included, from
+    reading the user's and the system's git config. Tests that need a key
+    set add it through ``GIT_CONFIG_COUNT``, which still applies."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
+        patch.setenv("GIT_CONFIG_NOSYSTEM", "1")
+        yield
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
 """Builders for the small throwaway Git repositories used across the tests.
 
-Commit timestamps increase deterministically and user config is pinned per
-commit, so every fixture repository is reproducible run to run.
+Commit timestamps increase deterministically, each commit sets its author
+and committer, and ``conftest.py`` keeps the user's and the system's git
+config away from the session, so every fixture repository is reproducible
+run to run.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ CAROL = ("Carol", "carol@example.com")
 DAVE = ("Dave", "dave@example.com")
 EVE = ("Eve", "eve@example.com")
 FRANK = ("Frank", "frank@example.com")
+ZOE = ("Zo\u00eb", "zoe@example.com")
 LATIN1_AUTHOR = ("Jos\udce9", "jose@example.com")  # the name's bytes: b"Jos\xe9"
 LATIN1_FILES = ("caf\udce9.py", "caf\udcef.py", "main.py", "util.py")
 
@@ -42,8 +45,6 @@ class RepoBuilder:
         name, email = user
         env = {
             **os.environ,
-            "GIT_CONFIG_GLOBAL": os.devnull,
-            "GIT_CONFIG_NOSYSTEM": "1",
             "GIT_AUTHOR_NAME": name,
             "GIT_AUTHOR_EMAIL": email,
             "GIT_COMMITTER_NAME": name,
@@ -235,11 +236,34 @@ def latin1_repo(path: Path, object_format: str = "sha1") -> RepoBuilder:
     return builder
 
 
+def config_sensitive_repo(path: Path) -> RepoBuilder:
+    """Two commits whose report a user's git config could change: Zoë, a
+    name that is not ASCII, adds a.py in the root commit, then Alice adds
+    b.py in a signed commit. The SSH signature is a dummy: git asked to
+    show it prints a verdict without running any program, since no
+    allowed-signers file is configured. The commit object is written by
+    hand, because ``git commit`` would need a real key."""
+    builder = RepoBuilder(path)
+    builder.commit_file("a.py", "print('a')\n", "add a", ZOE)
+    builder.write("b.py", "print('b')\n")
+    builder.git("add", "b.py")
+    tree = builder.git("write-tree").strip()
+    parent = builder.git("rev-parse", "HEAD").strip()
+    ident = f"{ALICE[0]} <{ALICE[1]}> {_EPOCH + 100} +0000"
+    commit = (
+        f"tree {tree}\nparent {parent}\nauthor {ident}\ncommitter {ident}\n"
+        "gpgsig -----BEGIN SSH SIGNATURE-----\n U1NIU0lH\n -----END SSH SIGNATURE-----\n"
+        "\nadd b\n"
+    )
+    oid = builder.git("hash-object", "-t", "commit", "-w", "--stdin", input=commit.encode())
+    builder.git("update-ref", "HEAD", oid.strip())
+    return builder
+
+
 def shallow_clone(source: RepoBuilder, dest: Path) -> Path:
     """A ``--depth 1`` clone of ``source``: only its newest commit."""
     subprocess.run(
         ["git", "clone", "-q", "--depth", "1", f"file://{source.path}", str(dest)],
-        env={**os.environ, "GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"},
         capture_output=True,
         check=True,
     )

@@ -12,10 +12,11 @@ import time
 import pytest
 
 import repo_fixtures as rf
-from truckfactor.authorship import AuthorFileMap, Thresholds, doa, score_trace, select_authors
+from reference import levenshtein
+from truckfactor.authorship import AuthorFileMap, doa, score_trace, select_authors
 from truckfactor.estimate import truck_factor
 from truckfactor.history import collect_history, list_snapshot_files, trace_files
-from truckfactor.identity import DeveloperId, RawUser, levenshtein, resolve_aliases
+from truckfactor.identity import DeveloperId, RawUser, resolve_aliases
 from truckfactor.pipeline import AnalysisConfig, run
 from truckfactor.report import emit
 
@@ -262,7 +263,7 @@ def test_raising_k_never_enlarges_the_author_set(tmp_path):
         while k <= 0.99 + 1e-9:
             entries = {
                 dev: set(files)
-                for dev, files in select_authors(records, Thresholds(k=k)).entries.items()
+                for dev, files in select_authors(records, k=k).entries.items()
             }
             if previous is not None:
                 for dev, files in entries.items():
@@ -277,7 +278,7 @@ def test_raising_k_never_enlarges_the_author_set(tmp_path):
                 )
             previous = entries
             k = round(k + 0.02, 10)
-        strict = select_authors(records, Thresholds(k=0.99))
+        strict = select_authors(records, k=0.99)
         _check(
             failures,
             {d.canonical_name: files for d, files in strict.entries.items()}

@@ -10,7 +10,6 @@ from truckfactor import authorship
 from truckfactor.authorship import (
     AuthorFileMap,
     AuthorshipRecord,
-    Thresholds,
     accumulate,
     author_ratio,
     blame_rank,
@@ -19,7 +18,7 @@ from truckfactor.authorship import (
     score_trace,
     select_authors,
 )
-from truckfactor.errors import BlameFailed, DivisionUndefined
+from truckfactor.errors import BlameFailed
 from truckfactor.history import ChangeEvent, ChangeKind, FileTrace, collect_history
 from truckfactor.identity import DeveloperId, RawUser, resolve_aliases
 
@@ -217,10 +216,10 @@ def test_select_authors_applies_both_thresholds():
     author_map = select_authors(records)
     assert author_map.entries == {dev("Alice"): {"f3.py"}, dev("Bob"): {"f3.py"}}
     # Bob's normalized score (~0.87) fails a stricter k.
-    strict = select_authors(records, Thresholds(k=0.99))
+    strict = select_authors(records, k=0.99)
     assert strict.entries == {dev("Alice"): {"f3.py"}}
     # ... and his absolute score (~3.56) fails a higher floor.
-    floored = select_authors(records, Thresholds(m=3.6))
+    floored = select_authors(records, m=3.6)
     assert floored.entries == {dev("Alice"): {"f3.py"}}
 
 
@@ -230,20 +229,12 @@ def test_select_authors_normalized_top_still_needs_absolute_floor():
     assert records[0].doa_norm == 1.0
     author_map = select_authors(records)
     assert author_map.entries == {}
-    assert not records[0].is_author
 
 
 def test_select_authors_skips_files_without_positive_scores():
     records = [record("A", "f", 0.0)]
     normalize(records)
     assert select_authors(records).entries == {}
-
-
-def test_select_authors_marks_records_in_place():
-    trace, alias_map = make_trace("f.py", ("Ann", ChangeKind.ADDITION))
-    records = score_trace(trace, alias_map)
-    select_authors(records)
-    assert records[0].is_author
 
 
 @given(st.data())
@@ -265,8 +256,8 @@ def test_select_authors_shrinks_as_k_grows(data):
         normalize([r for r in records if r.file == file])
     k1 = data.draw(st.floats(min_value=0.05, max_value=0.9), label="k1")
     k2 = data.draw(st.floats(min_value=k1, max_value=0.999), label="k2")
-    lax = select_authors(records, Thresholds(k=k1))
-    strict = select_authors(records, Thresholds(k=k2))
+    lax = select_authors(records, k=k1)
+    strict = select_authors(records, k=k2)
     for developer, files_authored in strict.entries.items():
         assert files_authored <= lax.entries.get(developer, set())
 
@@ -368,6 +359,5 @@ def test_author_ratio_examples():
     assert author_ratio(many, six) == pytest.approx(6 / 248)
 
 
-def test_author_ratio_requires_developers():
-    with pytest.raises(DivisionUndefined):
-        author_ratio(set(), AuthorFileMap({}))
+def test_author_ratio_is_zero_without_developers():
+    assert author_ratio(set(), AuthorFileMap({})) == 0.0

@@ -15,7 +15,6 @@ from truckfactor.history import (
     ChangeEvent,
     ChangeKind,
     FileTrace,
-    MigrationVerdict,
     Revision,
     check_migration,
     collect_history,
@@ -25,6 +24,7 @@ from truckfactor.history import (
     trace_files,
 )
 from truckfactor.identity import RawUser
+from truckfactor.report import MigrationSummary
 
 
 def _trace_of(path, *commit_kind_pairs):
@@ -374,12 +374,11 @@ def _import_plan(repo: Path, commits) -> tuple[list[list[tuple]], dict[str, int]
             kind = ChangeKind.ADDITION if edits[uid] == 0 else ChangeKind.MODIFICATION
             changes.append((author, kind, name, None, uid))
         planned.append(changes)
-    env = {**os.environ, "GIT_CONFIG_GLOBAL": os.devnull, "GIT_CONFIG_NOSYSTEM": "1"}
     for command, data in (
         (["git", "init", "-q", "--bare", "-b", "main", str(repo)], None),
         (["git", "-C", str(repo), "fast-import", "--quiet"], bytes(stream)),
     ):
-        subprocess.run(command, input=data, env=env, capture_output=True, check=True)
+        subprocess.run(command, input=data, capture_output=True, check=True)
     return planned, present
 
 
@@ -561,8 +560,8 @@ def test_concentrated_additions_are_suspicious():
 
 
 def test_migration_check_handles_no_traces_and_no_additions():
-    assert check_migration([]) == MigrationVerdict(False, 0.0, 0)
-    assert check_migration([FileTrace("f.py", [])]) == MigrationVerdict(False, 0.0, 0)
+    assert check_migration([]) == MigrationSummary(checked=True)
+    assert check_migration([FileTrace("f.py", [])]) == MigrationSummary(checked=True)
     incomplete = [
         FileTrace(
             "f.py",

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import levenshtein
 from truckfactor.identity import (
     RawUser,
     fold_name,
-    levenshtein,
     load_alias_overrides,
     name_merge_candidates,
     resolve_aliases,

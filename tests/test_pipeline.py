@@ -1,5 +1,6 @@
 import json
 import random
+import subprocess
 import threading
 import time
 from collections import defaultdict
@@ -242,15 +243,77 @@ def _json_report(path, **options) -> dict:
 def test_a_subdirectory_or_a_bare_clone_reports_like_the_root(
     tmp_path, single_author_repo
 ):
+    # A bare repository's blame would read HEAD:.mailmap, which git log's
+    # author names never go through.
+    single_author_repo.commit_file(
+        ".mailmap", "Alice Liddell <alice@example.com>\n", "mailmap", rf.ALICE
+    )
     root = _json_report(single_author_repo.path, blame_compare=True)
     del root["repository"]
-    assert root["totals"]["files"] == 3
+    assert root["totals"]["files"] == 4
+    assert root["blame_agreement"]["top1_pct"] == 100.0
     bare = tmp_path / "bare.git"
     single_author_repo.git("clone", "-q", "--bare", ".", str(bare))
     for path in (single_author_repo.path / "src", bare):
         report = _json_report(path, blame_compare=True)
         assert report.pop("repository") == str(path)
         assert report == root
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("log.showRoot", "false"),
+        ("log.showSignature", "true"),
+        ("i18n.logOutputEncoding", "ISO-8859-1"),
+        ("mailmap.file", "{tmp}/mailmap"),
+        ("blame.ignoreRevsFile", "{tmp}/missing"),
+    ],
+)
+def test_user_git_config_does_not_change_the_report(tmp_path, monkeypatch, key, value):
+    repo = rf.config_sensitive_repo(tmp_path / "repo")
+    (tmp_path / "mailmap").write_text("Alice Liddell <alice@example.com>\n")
+    expected = _json_report(repo.path, blame_compare=True)
+    assert expected["totals"]["commits"] == 2
+    assert [row["developer"] for row in expected["removed"]] == ["Alice", "Zo\u00eb"]
+    assert expected["blame_agreement"]["top1_pct"] == 100.0
+    monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
+    monkeypatch.setenv("GIT_CONFIG_KEY_0", key)
+    monkeypatch.setenv("GIT_CONFIG_VALUE_0", value.format(tmp=tmp_path))
+    assert _json_report(repo.path, blame_compare=True) == expected
+
+
+def test_a_move_of_more_files_than_the_default_rename_limit_keeps_authorship(
+    tmp_path,
+):
+    # git's default diff.renameLimit (1,000) skips rename detection for a
+    # commit this large, which would credit every file to whoever moved it.
+    def commit(tick, name, changes):
+        who = b"%s <%s@example.com> %d +0000" % (name, name.lower(), 1577836800 + tick)
+        header = b"commit refs/heads/main\nauthor %s\ncommitter %s\ndata 2\nc\n"
+        return header % (who, who) + b"".join(changes)
+
+    def put(path, lines):
+        content = b"".join(b"%s\n" % line for line in lines)
+        return b"M 100644 inline %s\ndata %d\n%s\n" % (path, len(content), content)
+
+    body = {i: [b"file %d line %d" % (i, n) for n in range(8)] for i in range(1100)}
+    stream = commit(0, b"Alice", [put(b"old/f%d.py" % i, body[i]) for i in body])
+    stream += commit(
+        1,
+        b"Bob",
+        [b"D old/f%d.py\n" % i + put(b"new/g%d.py" % i, [*body[i], b"edit"]) for i in body],
+    )
+    repo = tmp_path / "moved.git"
+    subprocess.run(["git", "init", "-q", "--bare", "-b", "main", str(repo)], check=True)
+    subprocess.run(
+        ["git", "-C", str(repo), "fast-import", "--quiet"], input=stream, check=True
+    )
+    report = _json_report(repo)
+    assert report["totals"] == {"developers": 2, "authors": 1, "files": 1100, "commits": 2}
+    assert [(r["developer"], r["authored_files"]) for r in report["removed"]] == [
+        ("Alice", 1100)
+    ]
 
 
 _SCRIPTED = (
