@@ -12,6 +12,9 @@ import os
 import subprocess
 from pathlib import Path
 
+from truckfactor.history import ChangeKind
+from truckfactor.identity import RawUser
+
 _EPOCH = 1577836800  # 2020-01-01T00:00:00Z
 
 ALICE = ("Alice", "alice@example.com")
@@ -268,3 +271,146 @@ def shallow_clone(source: RepoBuilder, dest: Path) -> Path:
         check=True,
     )
     return dest
+
+
+# --- planned histories, written with git fast-import -------------------------
+
+# File names that a line-based or quoted reading of git's output can mangle.
+# "caf\udce9.py" stands for the lone byte 0xE9, which is not UTF-8.
+ODD_NAMES = (
+    "tab\there.py",
+    "new\nline.py",
+    'quote".py',
+    "back\\slash.py",
+    " leading space.py",
+    "caf\udce9.py",
+    "line\u2028sep.py",
+    "0123456789abcdef0123456789abcdef01234567",
+    "R100",
+    "dir/plain.py",
+)
+ODD_AUTHORS = (
+    RawUser("Ann\u2028Lee", "ann@example.com"),
+    RawUser(*LATIN1_AUTHOR),
+    RawUser("Bo", "bo@example.com"),
+)
+
+
+def planned_commits(authors: int):
+    """A hypothesis strategy for histories: each commit is an author index
+    below ``authors`` and operations (op, file index, name index) applied to
+    the files present before it."""
+    from hypothesis import strategies as st
+
+    return st.lists(
+        st.tuples(
+            st.integers(0, authors - 1),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(("add", "modify", "rename", "delete")),
+                    st.integers(0, 9),
+                    st.integers(0, len(ODD_NAMES) - 1),
+                ),
+                max_size=4,
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+def _quoted(path: str) -> bytes:
+    """``path`` in fast-import's C-style quoting, every byte kept."""
+    out = bytearray(b'"')
+    for byte in os.fsencode(path):
+        if byte in b'"\\':
+            out += b"\\" + bytes([byte])
+        elif 0x20 <= byte < 0x7F:
+            out.append(byte)
+        else:
+            out += b"\\%03o" % byte
+    return bytes(out + b'"')
+
+
+def import_plan(
+    repo: Path,
+    commits,
+    authors: tuple[RawUser, ...] = ODD_AUTHORS,
+    object_format: str = "sha1",
+) -> tuple[list[tuple[RawUser, list[tuple]]], dict[str, int]]:
+    """Write ``commits`` into a new bare repository with ``git fast-import``.
+
+    Returns each commit's author and planned events, as (author, kind,
+    path, old_path, identity), and the paths present at the end mapped to
+    their identities. Deletions are not events. A file keeps its identity
+    through renames; a file added at a path gets a new one, even where an
+    earlier file was deleted or moved away. Every file gets lines no other
+    file has, so git pairs a rename only with its own source.
+    """
+    present: dict[str, int] = {}  # path -> id of the file's content
+    edits: dict[int, int] = {}
+    stream = bytearray()
+    planned = []
+    for tick, (who, operations) in enumerate(commits):
+        author = authors[who]
+        ident = b"%s <%s> %d +0000" % (
+            os.fsencode(author.name), os.fsencode(author.email), _EPOCH + tick
+        )
+        stream += b"commit refs/heads/main\nauthor %s\ncommitter %s\ndata 2\nc\n" % (
+            ident,
+            ident,
+        )
+        touched: set[str] = set()
+        changes = []
+        for op, pick, name_index in operations:
+            name = ODD_NAMES[name_index]
+            existing = sorted(path for path in present if path not in touched)
+            if op == "add" and name not in present and name not in touched:
+                present[name] = len(edits)
+                edits[present[name]] = 0
+            elif op == "modify" and existing:
+                name = existing[pick % len(existing)]
+                edits[present[name]] += 1
+            elif op == "rename" and existing and name not in present.keys() | touched:
+                old = existing[pick % len(existing)]
+                present[name] = present.pop(old)
+                touched.update((old, name))
+                stream += b"R %s %s\n" % (_quoted(old), _quoted(name))
+                changes.append((author, ChangeKind.RENAME, name, old, present[name]))
+                continue
+            elif op == "delete" and existing:
+                name = existing[pick % len(existing)]
+                del present[name]
+                touched.add(name)
+                stream += b"D %s\n" % _quoted(name)
+                continue
+            else:
+                continue
+            touched.add(name)
+            uid = present[name]
+            content = "".join(f"file {uid} edit {n}\n" for n in range(edits[uid] + 1))
+            stream += b"M 100644 inline %s\ndata %d\n%s\n" % (
+                _quoted(name),
+                len(content),
+                content.encode(),
+            )
+            kind = ChangeKind.ADDITION if edits[uid] == 0 else ChangeKind.MODIFICATION
+            changes.append((author, kind, name, None, uid))
+        planned.append((author, changes))
+    init = ["git", "init", "-q", "--bare", "-b", "main", f"--object-format={object_format}"]
+    for command, data in (
+        ([*init, str(repo)], None),
+        (["git", "-C", str(repo), "fast-import", "--quiet"], bytes(stream)),
+    ):
+        subprocess.run(command, input=data, capture_output=True, check=True)
+    return planned, present
+
+
+def commit_ids(repo: Path) -> list[str]:
+    """The repository's commit ids, oldest first."""
+    return subprocess.run(
+        ["git", "-C", str(repo), "rev-list", "--reverse", "HEAD"],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()

@@ -1,11 +1,8 @@
-import os
-import subprocess
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import repo_fixtures as rf
 from truckfactor import history
@@ -263,133 +260,7 @@ def test_history_rejects_a_truncated_record(monkeypatch, out):
 
 # --- round trip through git fast-import --------------------------------------
 
-# File names that a line-based or quoted reading of git's output can mangle.
-# "caf\udce9.py" stands for the lone byte 0xE9, which is not UTF-8.
-_ODD_NAMES = (
-    "tab\there.py",
-    "new\nline.py",
-    'quote".py',
-    "back\\slash.py",
-    " leading space.py",
-    "caf\udce9.py",
-    "line\u2028sep.py",
-    "0123456789abcdef0123456789abcdef01234567",
-    "R100",
-    "dir/plain.py",
-)
-_ODD_AUTHORS = (
-    RawUser("Ann\u2028Lee", "ann@example.com"),
-    RawUser(*rf.LATIN1_AUTHOR),
-    RawUser("Bo", "bo@example.com"),
-)
-# One commit: an author index and operations (op, file index, name index)
-# applied to the files present before it.
-_COMMITS = st.lists(
-    st.tuples(
-        st.integers(0, len(_ODD_AUTHORS) - 1),
-        st.lists(
-            st.tuples(
-                st.sampled_from(("add", "modify", "rename", "delete")),
-                st.integers(0, 9),
-                st.integers(0, len(_ODD_NAMES) - 1),
-            ),
-            max_size=4,
-        ),
-    ),
-    min_size=1,
-    max_size=6,
-)
-
-
-def _quoted(path: str) -> bytes:
-    """``path`` in fast-import's C-style quoting, every byte kept."""
-    out = bytearray(b'"')
-    for byte in os.fsencode(path):
-        if byte in b'"\\':
-            out += b"\\" + bytes([byte])
-        elif 0x20 <= byte < 0x7F:
-            out.append(byte)
-        else:
-            out += b"\\%03o" % byte
-    return bytes(out + b'"')
-
-
-def _import_plan(repo: Path, commits) -> tuple[list[list[tuple]], dict[str, int]]:
-    """Write ``commits`` into a new bare repository with ``git fast-import``.
-
-    Returns the planned events of each commit, as (author, kind, path,
-    old_path, identity), and the paths present at the end mapped to their
-    identities. A file keeps its identity through renames; a file added at
-    a path gets a new one, even where an earlier file was deleted or moved
-    away. Every file gets lines no other file has, so git pairs a rename
-    only with its own source.
-    """
-    present: dict[str, int] = {}  # path -> id of the file's content
-    edits: dict[int, int] = {}
-    stream = bytearray()
-    planned = []
-    for tick, (who, operations) in enumerate(commits):
-        author = _ODD_AUTHORS[who]
-        ident = b"%s <%s> %d +0000" % (
-            os.fsencode(author.name), author.email.encode(), 1577836800 + tick
-        )
-        stream += b"commit refs/heads/main\nauthor %s\ncommitter %s\ndata 2\nc\n" % (
-            ident,
-            ident,
-        )
-        touched: set[str] = set()
-        changes = []
-        for op, pick, name_index in operations:
-            name = _ODD_NAMES[name_index]
-            existing = sorted(path for path in present if path not in touched)
-            if op == "add" and name not in present and name not in touched:
-                present[name] = len(edits)
-                edits[present[name]] = 0
-            elif op == "modify" and existing:
-                name = existing[pick % len(existing)]
-                edits[present[name]] += 1
-            elif op == "rename" and existing and name not in present.keys() | touched:
-                old = existing[pick % len(existing)]
-                present[name] = present.pop(old)
-                touched.update((old, name))
-                stream += b"R %s %s\n" % (_quoted(old), _quoted(name))
-                changes.append((author, ChangeKind.RENAME, name, old, present[name]))
-                continue
-            elif op == "delete" and existing:
-                name = existing[pick % len(existing)]
-                del present[name]
-                touched.add(name)
-                stream += b"D %s\n" % _quoted(name)
-                continue
-            else:
-                continue
-            touched.add(name)
-            uid = present[name]
-            content = "".join(f"file {uid} edit {n}\n" for n in range(edits[uid] + 1))
-            stream += b"M 100644 inline %s\ndata %d\n%s\n" % (
-                _quoted(name),
-                len(content),
-                content.encode(),
-            )
-            kind = ChangeKind.ADDITION if edits[uid] == 0 else ChangeKind.MODIFICATION
-            changes.append((author, kind, name, None, uid))
-        planned.append(changes)
-    for command, data in (
-        (["git", "init", "-q", "--bare", "-b", "main", str(repo)], None),
-        (["git", "-C", str(repo), "fast-import", "--quiet"], bytes(stream)),
-    ):
-        subprocess.run(command, input=data, capture_output=True, check=True)
-    return planned, present
-
-
-def _commit_ids(repo: Path) -> list[str]:
-    """The repository's commit ids, oldest first."""
-    return subprocess.run(
-        ["git", "-C", str(repo), "rev-list", "--reverse", "HEAD"],
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.split()
+_COMMITS = rf.planned_commits(len(rf.ODD_AUTHORS))
 
 
 @settings(max_examples=40, deadline=None)
@@ -406,8 +277,8 @@ def _commit_ids(repo: Path) -> list[str]:
 def test_history_and_snapshot_round_trip_through_fast_import(commits):
     with tempfile.TemporaryDirectory() as scratch:
         repo = Path(scratch) / "repo.git"
-        planned, final = _import_plan(repo, commits)
-        ids = _commit_ids(repo)
+        planned, final = rf.import_plan(repo, commits)
+        ids = rf.commit_ids(repo)
         events = collect_history(repo)
         snapshot = list_snapshot_files(repo, FilterRules.none())
     position = {commit_id: i for i, commit_id in enumerate(ids)}
@@ -417,7 +288,7 @@ def test_history_and_snapshot_round_trip_through_fast_import(commits):
     ]
     want = [
         (i, author, kind.value, path, old_path)
-        for i, changes in enumerate(planned)
+        for i, (_, changes) in enumerate(planned)
         for author, kind, path, old_path, _ in changes
     ]
     assert sorted(got) == sorted(want)
@@ -454,8 +325,8 @@ def test_history_and_snapshot_round_trip_through_fast_import(commits):
 def test_traces_hold_exactly_the_changes_of_each_file(commits):
     with tempfile.TemporaryDirectory() as scratch:
         repo = Path(scratch) / "repo.git"
-        planned, final = _import_plan(repo, commits)
-        ids = _commit_ids(repo)
+        planned, final = rf.import_plan(repo, commits)
+        ids = rf.commit_ids(repo)
         traces = trace_files(
             collect_history(repo), list_snapshot_files(repo, FilterRules.none())
         )
@@ -466,7 +337,7 @@ def test_traces_hold_exactly_the_changes_of_each_file(commits):
         ]
         want = [
             (ids[i], author, kind, path, old_path)
-            for i, changes in enumerate(planned)
+            for i, (_, changes) in enumerate(planned)
             for author, kind, path, old_path, identity in changes
             if identity == final[trace.current_path]
         ]
