@@ -21,7 +21,7 @@ own module.
 from .authorship import blame_rank, score_trace, select_authors
 from .errors import TruckFactorError
 from .estimate import truck_factor
-from .history import collect_history, list_snapshot_files, trace_files
+from .history import collect_history, list_snapshot_files, read_log, trace_files
 from .identity import resolve_aliases
 from .pipeline import AnalysisConfig, run
 from .report import Report, emit, parse_json
@@ -36,6 +36,7 @@ __all__ = [
     "parse_json",
     "TruckFactorError",
     "list_snapshot_files",
+    "read_log",
     "collect_history",
     "trace_files",
     "resolve_aliases",

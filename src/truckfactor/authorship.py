@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import BlameFailed, GitInvocationFailed
-from .history import ChangeKind, FileTrace, run_git
+from .history import FileTrace, run_git
 from .identity import DeveloperId, RawUser
 
 DOA_INTERCEPT = 3.293
@@ -76,20 +76,16 @@ def accumulate(
 ) -> list[tuple[DeveloperId, int, int, int]]:
     """Fold a trace into per-developer (FA, DL, AC) counts.
 
-    Every event in the trace is one delivery for its developer, and one
+    Every change in the trace is one delivery for its developer, and one
     acceptance for everyone else who touched the file. First authorship
-    goes to whoever made the earliest addition; an incomplete trace (the
-    addition predates recorded history) assigns FA to nobody.
+    goes to the file's creator; an incomplete trace (the addition predates
+    recorded history) assigns FA to nobody.
     """
     deliveries: dict[DeveloperId, int] = defaultdict(int)
-    for event in trace.events:
-        deliveries[alias_map[event.author]] += 1
-    creator: DeveloperId | None = None
-    for event in trace.events:
-        if event.kind is ChangeKind.ADDITION:
-            creator = alias_map[event.author]
-            break
-    total = len(trace.events)
+    for user, count in trace.deliveries.items():
+        deliveries[alias_map[user]] += count
+    creator = alias_map[trace.creator] if trace.creator is not None else None
+    total = sum(deliveries.values())
     return [
         (dev, int(dev == creator), dl, total - dl)
         for dev, dl in sorted(

@@ -23,7 +23,8 @@ from pathlib import Path
 
 
 def _translate_segment(segment: str) -> str:
-    # fnmatch-style wildcards, except '*' and '?' never cross a '/' boundary
+    # fnmatch-style wildcards, except that '*', '?' and a bracket class
+    # never match a '/'
     out: list[str] = []
     i = 0
     while i < len(segment):
@@ -46,7 +47,7 @@ def _translate_segment(segment: str) -> str:
                 inner = segment[i + 1 : j].replace("\\", "\\\\")
                 if inner.startswith("!"):
                     inner = "^" + inner[1:]
-                out.append(f"[{inner}]")
+                out.append(f"(?!/)[{inner}]")
                 i = j
         else:
             out.append(re.escape(ch))
@@ -54,15 +55,29 @@ def _translate_segment(segment: str) -> str:
     return "".join(out)
 
 
-def compile_glob(pattern: str) -> re.Pattern[str]:
-    """Compile one ignore-style glob into a regex over relative paths."""
+def _normalize_glob(pattern: str) -> str:
     pattern = pattern.strip().lstrip("/")
     if not pattern:
         raise ValueError("empty glob pattern")
     if pattern.endswith("/"):  # trailing slash means "everything under"
         pattern += "**"
+    return pattern
+
+
+def compile_glob(pattern: str) -> re.Pattern[str]:
+    """Compile one ignore-style glob into a regex over relative paths.
+
+    A path may hold any character, a newline included: ``.`` matches it
+    (``re.DOTALL``) and the end is ``\\Z``, which a trailing newline does
+    not satisfy.
+    """
+    return re.compile(_path_regex(_normalize_glob(pattern)), re.DOTALL)
+
+
+def _path_regex(pattern: str) -> str:
+    """The regex of a normalized glob, for ``match`` against a whole path."""
     if "/" not in pattern:
-        return re.compile(rf"(?:^|.*/){_translate_segment(pattern)}$")
+        return rf"(?:^|.*/){_translate_segment(pattern)}\Z"
     regex = "^"
     parts = pattern.split("/")
     for i, part in enumerate(parts):
@@ -74,8 +89,8 @@ def compile_glob(pattern: str) -> re.Pattern[str]:
             if not last:
                 regex += "/"
     if not regex.endswith(".*"):
-        regex += "$"
-    return re.compile(regex)
+        regex += "\\Z"
+    return regex
 
 
 def _parse_lines(text: str) -> list[str]:
@@ -123,12 +138,14 @@ class FilterRules:
     builtin_vendored: list[str] = field(default_factory=builtin_patterns)
 
     def __post_init__(self) -> None:
-        alternatives = "|".join(
-            f"(?:{compile_glob(g).pattern})"
-            for g in [*self.ignore_globs, *self.builtin_vendored]
-        )
-        # An empty alternation matches every path, so no globs means no regex.
-        self._regex = re.compile(alternatives) if alternatives else None
+        globs = [_normalize_glob(g) for g in [*self.ignore_globs, *self.builtin_vendored]]
+        # A glob without "/" is matched against the last path segment alone,
+        # the others against the whole path; each kind as one regex. An empty
+        # alternation matches everything, so no globs of a kind means no regex.
+        names = "|".join(f"(?:{_translate_segment(g)})" for g in globs if "/" not in g)
+        paths = "|".join(f"(?:{_path_regex(g)})" for g in globs if "/" in g)
+        self._names = re.compile(names, re.DOTALL) if names else None
+        self._regex = re.compile(paths, re.DOTALL) if paths else None
         self._paths = frozenset(
             p.strip().strip("/") for p in self.ignore_paths if p.strip().strip("/")
         )
@@ -140,7 +157,9 @@ class FilterRules:
             if path[:end] in self._paths:
                 return True
             end = path.rfind("/", 0, end)
-        return self._regex is not None and self._regex.match(path) is not None
+        if self._names and self._names.fullmatch(path, path.rfind("/") + 1):
+            return True
+        return bool(self._regex and self._regex.match(path))
 
     @classmethod
     def none(cls) -> "FilterRules":

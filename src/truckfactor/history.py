@@ -1,4 +1,4 @@
-"""Git history extraction: snapshot listing, change events, file traces.
+"""Git history extraction: snapshot listing, the commit log, file traces.
 
 All repository access goes through the ``git`` executable; nothing here
 mutates the repository. Merge commits are suppressed so every change is
@@ -9,11 +9,13 @@ a file's history survives being moved.
 from __future__ import annotations
 
 import subprocess
+import tempfile
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyRepository, GitInvocationFailed, NotARepository
 from .filters import FilterRules
@@ -27,13 +29,6 @@ class ChangeKind(Enum):
     RENAME = "R"
 
 
-_STATUS_KINDS = {
-    "A": ChangeKind.ADDITION,
-    "M": ChangeKind.MODIFICATION,
-    "R": ChangeKind.RENAME,
-}
-
-
 @dataclass(frozen=True)
 class ChangeEvent:
     """One (commit, file) change."""
@@ -45,17 +40,31 @@ class ChangeEvent:
     old_path: str | None = None
 
 
+class Commit(NamedTuple):
+    """One non-merge commit as ``git log`` prints it: its id, its author and
+    its A/M/R changes in git's order, each as (kind, path, old path). Only a
+    rename has an old path."""
+
+    commit_id: str
+    author: RawUser
+    changes: list[tuple[ChangeKind, str, str | None]]
+
+
 @dataclass
 class FileTrace:
-    """The ordered change history of one snapshot file, renames followed."""
+    """What the history says about one snapshot file, renames followed:
+    the number of changes each user made to it, and the user and commit
+    that created it (``None`` when its addition predates the history)."""
 
     current_path: str
-    events: list[ChangeEvent]
+    deliveries: dict[RawUser, int] = field(default_factory=dict)
+    creator: RawUser | None = None
+    creating_commit: str | None = None
 
     @property
     def complete(self) -> bool:
         """True when the trace reaches back to the file's original addition."""
-        return bool(self.events) and self.events[0].kind is ChangeKind.ADDITION
+        return self.creating_commit is not None
 
 
 # Settings that would change what git prints, pinned on every command so a
@@ -73,6 +82,25 @@ _PINNED_CONFIG = (
     "-c", "mailmap.blob=",
 )
 
+# How much of git's output one read may return.
+_CHUNK_BYTES = 1 << 16
+
+
+def start_git(
+    repo_path: str | Path, args: Sequence[str], stderr: int | IO[bytes]
+) -> subprocess.Popen[bytes]:
+    """Start one git command in ``repo_path``, with the pinned config, its
+    stdout a pipe and its stderr going to ``stderr``."""
+    try:
+        return subprocess.Popen(
+            ["git", *_PINNED_CONFIG, *args],
+            cwd=str(repo_path),
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+        )
+    except OSError as exc:
+        raise GitInvocationFailed(" ".join(["git", *args]), str(exc)) from exc
+
 
 def run_git(repo_path: str | Path, args: Sequence[str]) -> str:
     """Run one git command in ``repo_path`` and return its stdout.
@@ -84,17 +112,12 @@ def run_git(repo_path: str | Path, args: Sequence[str]) -> str:
     no newline translation: a ``\r`` inside a file's content (as ``git
     blame`` prints it) must not become a line break.
     """
-    command = ["git", *args]
-    try:
-        proc = subprocess.run(
-            ["git", *_PINNED_CONFIG, *args], cwd=str(repo_path), capture_output=True
-        )
-    except OSError as exc:
-        raise GitInvocationFailed(" ".join(command), str(exc)) from exc
+    with start_git(repo_path, args, subprocess.PIPE) as proc:
+        out, err = proc.communicate()
     if proc.returncode != 0:
-        stderr = proc.stderr.decode("utf-8", "replace").strip()
-        raise GitInvocationFailed(" ".join(command), stderr)
-    return proc.stdout.decode("utf-8", "surrogateescape")
+        stderr = err.decode("utf-8", "replace").strip()
+        raise GitInvocationFailed(" ".join(["git", *args]), stderr)
+    return out.decode("utf-8", "surrogateescape")
 
 
 @dataclass(frozen=True)
@@ -187,100 +210,166 @@ def list_snapshot_files(
     return sorted(path for path in files if not rules.matches(path))
 
 
-def collect_history(
-    repo_path: str | Path, branch: str | None = None
-) -> list[ChangeEvent]:
-    """One ChangeEvent per (commit, file) change, oldest commit first.
+_STATUS_KINDS = {"A": ChangeKind.ADDITION, "M": ChangeKind.MODIFICATION}
 
-    Merge commits are excluded; deletions, copies, and type changes carry no
-    authorship signal and are dropped. Rename events keep the old path so
-    traces can follow the chain backwards.
-    """
-    out = _run_at_revision(
-        repo_path,
-        branch,
-        [
-            "log",
-            "-z",
-            branch or "HEAD",
-            "--no-merges",
-            "--find-renames",
-            "--name-status",
-            "--pretty=format:%x00%H%x00%an%x00%ae",
-        ],
-    )
-    # Split at NUL, the output is a run of commits: an empty token, then the
-    # commit's id, name and email. When the commit changed anything, the email token also carries
-    # "\n" and the first status. Each status is followed by its paths (two
-    # for R and C, one otherwise), then by the next status or by the empty
-    # token that ends the commit. git prints newest first; gather blocks,
-    # then reverse.
-    tokens = out.split("\0")
-    end = len(tokens)
-    blocks: list[tuple[str, RawUser, list[tuple[ChangeKind, str, str | None]]]] = []
-    i = 0
-    while i < end:
-        commit_id = tokens[i]
-        if not commit_id:
-            i += 1
+
+def _fields(chunks: Iterable[bytes]) -> Iterator[list[str]]:
+    """The NUL-separated fields of a byte stream arriving in chunks cut
+    anywhere. Each chunk is cut at its last NUL, where no UTF-8 character
+    can be split, and decoded once, with ``surrogateescape`` like
+    :func:`run_git`; the bytes after the cut open the next chunk's first
+    field. The last field is whatever follows the stream's last NUL."""
+    rest = b""
+    for chunk in chunks:
+        cut = chunk.rfind(b"\0")
+        if cut < 0:
+            rest += chunk
             continue
-        if i + 2 >= end:
+        yield (rest + chunk[:cut]).decode("utf-8", "surrogateescape").split("\0")
+        rest = chunk[cut + 1 :]
+    yield [rest.decode("utf-8", "surrogateescape")]
+
+
+def parse_log(chunks: Iterable[bytes]) -> Iterator[Commit]:
+    """The commits in the output of :func:`read_log`'s ``git log``, in the
+    order git prints them, as the output arrives.
+
+    Split at NUL, the output is a run of commits: an empty field, then the
+    commit's id, name and email. When the commit changed anything, the email
+    field also carries "\n" and the first status. Each status is followed
+    by its paths (two for R and C, one otherwise), then by the next status
+    or by the empty field that ends the commit. Deletions, copies and type
+    changes carry no authorship signal and are dropped. Raises
+    :class:`GitInvocationFailed` on a truncated or malformed record.
+    """
+    fields = chain.from_iterable(_fields(chunks))
+    users: dict[tuple[str, str], RawUser] = {}  # one object per distinct author
+    for commit_id in fields:
+        if not commit_id:
+            continue
+        name = next(fields, None)
+        email = next(fields, None)
+        if email is None:
             raise GitInvocationFailed("git log", f"truncated commit {commit_id!r}")
-        email, _, status = tokens[i + 2].partition("\n")
+        email, _, status = email.partition("\n")
         changes: list[tuple[ChangeKind, str, str | None]] = []
-        blocks.append((commit_id, RawUser(tokens[i + 1], email), changes))
-        i += 3
         while status:
-            width = 2 if status[0] in "RC" else 1
-            paths = tokens[i : i + width]
-            if len(paths) < width or not all(paths):
+            path = next(fields, "")
+            new_path = next(fields, "") if status[0] in "RC" else path
+            if not (path and new_path):
                 raise GitInvocationFailed(
                     "git log", f"malformed change {status!r} in {commit_id}"
                 )
-            kind = _STATUS_KINDS.get(status[0])
-            if kind is ChangeKind.RENAME:
-                changes.append((kind, paths[1], paths[0]))
-            elif kind is not None:
-                changes.append((kind, paths[0], None))
-            i += width
-            status = tokens[i] if i < end else ""
-            i += 1
+            if status[0] == "R":
+                changes.append((ChangeKind.RENAME, new_path, path))
+            elif kind := _STATUS_KINDS.get(status[0]):
+                changes.append((kind, path, None))
+            status = next(fields, "")
+        author = users.get((name, email))
+        if author is None:
+            author = users[name, email] = RawUser(name, email)
+        yield Commit(commit_id, author, changes)
+
+
+def read_log(repo_path: str | Path, branch: str | None = None) -> Iterator[Commit]:
+    """Every non-merge commit reachable from ``branch``, newest first, parsed
+    while ``git log`` is still running.
+
+    Merge commits are excluded, so every change is counted once, on the
+    branch where it was made, and renames are detected, so a file's history
+    survives being moved. git's stderr goes to a temporary file, so it can
+    never fill up while its stdout is being read. Closing the generator
+    early, or an error while reading, stops git. When git fails, resolving
+    the revision again raises the specific error for a missing repository,
+    an empty one or an unknown revision; otherwise :class:`GitInvocationFailed`
+    carries git's stderr.
+    """
+    args = [
+        "log",
+        "-z",
+        branch or "HEAD",
+        "--no-merges",
+        "--find-renames",
+        "--name-status",
+        "--pretty=format:%x00%H%x00%an%x00%ae",
+    ]
+    with tempfile.TemporaryFile() as errors:
+        try:
+            proc = start_git(repo_path, args, errors)
+        except GitInvocationFailed:
+            resolve_revision(repo_path, branch)
+            raise
+        stdout = proc.stdout
+        at_end = False
+
+        def chunks() -> Iterator[bytes]:
+            nonlocal at_end
+            while chunk := stdout.read1(_CHUNK_BYTES):
+                yield chunk
+            at_end = True
+
+        try:
+            yield from parse_log(chunks())
+        except GitInvocationFailed:
+            # git's output can end inside a record when git itself failed.
+            if not at_end or proc.wait() == 0:
+                raise
+        finally:
+            if not at_end:
+                proc.kill()
+            stdout.close()
+            proc.wait()
+        if proc.returncode != 0:
+            errors.seek(0)
+            message = errors.read().decode("utf-8", "replace").strip()
+            resolve_revision(repo_path, branch)
+            raise GitInvocationFailed(" ".join(["git", *args]), message)
+
+
+def collect_history(
+    repo_path: str | Path, branch: str | None = None
+) -> list[ChangeEvent]:
+    """One ChangeEvent per A/M/R change, oldest commit first: the commits of
+    :func:`read_log` in one list."""
+    commits = list(read_log(repo_path, branch))
     return [
         ChangeEvent(commit_id, author, path, kind, old_path)
-        for commit_id, author, commit_changes in reversed(blocks)
-        for kind, path, old_path in commit_changes
+        for commit_id, author, changes in reversed(commits)
+        for kind, path, old_path in changes
     ]
 
 
-def trace_files(
-    events: Sequence[ChangeEvent], targets: Iterable[str]
-) -> list[FileTrace]:
-    """Reconstruct each target's history in one newest-first replay.
+def trace_files(commits: Iterable[Commit], targets: Iterable[str]) -> list[FileTrace]:
+    """Fold each target's history out of one replay of ``commits``, newest
+    first, as :func:`read_log` yields them.
 
     ``live`` maps each path to the trace of the file found there at the
-    current point of the replay, starting from the targets. An event at a
-    live path joins that trace. An addition means the path was absent
-    before, so it ends the tracking there: an older file at the same path
-    is a different file. A rename ``X -> Y`` ends the tracking of both
-    paths, since older events at ``X`` belong to the file that moved, and
-    carries ``Y``'s trace, if any, back to ``X``. Traces come back in target
-    order, one per distinct target, each with events oldest first.
+    current point of the replay, starting from the targets. A change at a
+    live path is one delivery by its author. An addition means the path was
+    absent before, so it names the file's creator and ends the tracking
+    there: an older file at the same path is a different file. A rename
+    ``X -> Y`` ends the tracking of both paths, since older changes at ``X``
+    belong to the file that moved, and carries ``Y``'s trace, if any, back
+    to ``X``. Traces come back in target order, one per distinct target.
     """
-    traces = {target: FileTrace(target, []) for target in targets}
+    traces = {target: FileTrace(target) for target in targets}
     live = dict(traces)
-    for event in reversed(events):
-        trace = live.get(event.path)
-        if trace is not None:
-            trace.events.append(event)
-        if event.kind is ChangeKind.ADDITION:
-            live.pop(event.path, None)
-        elif event.kind is ChangeKind.RENAME and event.old_path is not None:
-            live.pop(event.path, None)
-            live.pop(event.old_path, None)
+    for commit_id, author, changes in commits:
+        for kind, path, old_path in changes:
+            trace = live.get(path)
             if trace is not None:
-                live[event.old_path] = trace
-    for trace in traces.values():
-        trace.events.reverse()
+                deliveries = trace.deliveries
+                deliveries[author] = deliveries.get(author, 0) + 1
+                if kind is ChangeKind.ADDITION:
+                    trace.creator = author
+                    trace.creating_commit = commit_id
+                    del live[path]
+            if kind is ChangeKind.RENAME:
+                if trace is not None:
+                    del live[path]
+                    live[old_path] = trace
+                else:
+                    live.pop(old_path, None)
     return list(traces.values())
 
 
@@ -294,13 +383,9 @@ def check_migration(traces: Sequence[FileTrace]) -> MigrationSummary:
     commits for that is suspicious.
     """
     total = len(traces)
-    adders: Counter[str] = Counter()
-    for trace in traces:
-        first = next(
-            (e for e in trace.events if e.kind is ChangeKind.ADDITION), None
-        )
-        if first is not None:
-            adders[first.commit_id] += 1
+    adders = Counter(
+        trace.creating_commit for trace in traces if trace.creating_commit is not None
+    )
     if total == 0 or not adders:
         return MigrationSummary(checked=True)
     covered = 0

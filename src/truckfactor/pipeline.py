@@ -1,4 +1,4 @@
-"""End-to-end orchestration: snapshot -> aliases -> traces -> scores -> TF.
+"""End-to-end orchestration: snapshot -> traces -> aliases -> scores -> TF.
 
 :func:`run` wires the stages together and assembles a :class:`Report`.
 Everything it does is also reachable piecemeal through the individual
@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import os
 import random
-from collections import defaultdict
+from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from . import authorship, estimate, history, identity
 from .errors import BlameFailed
@@ -60,6 +62,15 @@ def _build_rules(config: AnalysisConfig) -> FilterRules:
     globs = load_pattern_file(config.patterns_file) if config.patterns_file else []
     paths = load_pattern_file(config.ignore_file) if config.ignore_file else []
     return FilterRules(ignore_globs=globs, ignore_paths=paths)
+
+
+def _counting(
+    commits: Iterable[history.Commit], counts: Counter[identity.RawUser]
+) -> Iterator[history.Commit]:
+    """Pass ``commits`` on, counting each author's commits in ``counts``."""
+    for commit in commits:
+        counts[commit.author] += 1
+        yield commit
 
 
 def _blame_workers() -> int:
@@ -137,13 +148,10 @@ def run(config: AnalysisConfig) -> Report:
     targets = history.list_snapshot_files(
         revision.git_dir, rules, branch=revision.commit
     )
-    events = history.collect_history(revision.git_dir, branch=revision.commit)
-
-    commits_by_user: dict[identity.RawUser, set[str]] = defaultdict(set)
-    for event in events:
-        commits_by_user[event.author].add(event.commit_id)
-    users = commits_by_user.keys()
-    counts = {user: len(ids) for user, ids in commits_by_user.items()}
+    commit_counts: Counter[identity.RawUser] = Counter()
+    with closing(history.read_log(revision.git_dir, branch=revision.commit)) as log:
+        traces = history.trace_files(_counting(log, commit_counts), targets)
+    users = commit_counts.keys()
     overrides = (
         identity.load_alias_overrides(config.alias_file) if config.alias_file else None
     )
@@ -153,7 +161,7 @@ def run(config: AnalysisConfig) -> Report:
     alias_map = (
         identity.resolve_aliases(
             users,
-            commit_counts=counts,
+            commit_counts=commit_counts,
             overrides=overrides,
             merge_similar_names=not config.alias_report,
         )
@@ -161,10 +169,10 @@ def run(config: AnalysisConfig) -> Report:
         else {}
     )
 
-    traces = history.trace_files(events, targets)
-    records: list[authorship.AuthorshipRecord] = []
-    for trace in traces:
-        records.extend(authorship.score_trace(trace, alias_map))
+    # Scored one file at a time, so no more than one file's records are held.
+    records = (
+        record for trace in traces for record in authorship.score_trace(trace, alias_map)
+    )
     author_map = authorship.select_authors(records, k=config.k, m=config.m)
 
     universe = set(targets) if config.universe == "all-files" else None
@@ -208,7 +216,7 @@ def run(config: AnalysisConfig) -> Report:
         "developers": len(developers),
         "authors": len(author_map.entries),
         "files": len(targets),
-        "commits": len({event.commit_id for event in events}),
+        "commits": sum(commit_counts.values()),
     }
     return Report(
         schema_version=SCHEMA_VERSION,

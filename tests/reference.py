@@ -74,7 +74,7 @@ def expected_report(commits, final, k=0.75, m=3.293, universe="authored"):
     identity of its file. Returns the scored records, keyed by (path,
     developer label), and the report's estimate fields.
     """
-    counts = Counter(author for author, events in commits if events)
+    counts = Counter(author for author, _ in commits)
     developer = _developers(counts)
     records = {}
     authored = defaultdict(set)
@@ -83,7 +83,8 @@ def expected_report(commits, final, k=0.75, m=3.293, universe="authored"):
         creator = next(developer[e[0]] for e in events if e[1].value == "A")
         changes = Counter(developer[e[0]] for e in events)
         scores = {
-            dev: (int(dev == creator), dl, len(events) - dl) for dev, dl in changes.items()
+            dev: (int(dev == creator), dl, len(events) - dl)
+            for dev, dl in changes.items()
         }
         top = max(doa(*s) for s in scores.values())
         for dev, (fa, dl, ac) in scores.items():

@@ -15,7 +15,7 @@ import repo_fixtures as rf
 from reference import levenshtein
 from truckfactor.authorship import AuthorFileMap, doa, score_trace, select_authors
 from truckfactor.estimate import truck_factor
-from truckfactor.history import collect_history, list_snapshot_files, trace_files
+from truckfactor.history import list_snapshot_files, read_log, trace_files
 from truckfactor.identity import DeveloperId, RawUser, resolve_aliases
 from truckfactor.pipeline import AnalysisConfig, run
 from truckfactor.report import emit
@@ -155,9 +155,9 @@ def test_fixture_repositories_end_to_end(tmp_path):
         )
 
         renamed = rf.rename_repo(tmp_path / "ren")
-        events = collect_history(renamed.path)
-        traces = trace_files(events, list_snapshot_files(renamed.path))
-        alias_map = resolve_aliases({e.author for e in events})
+        commits = list(read_log(renamed.path))
+        traces = trace_files(commits, list_snapshot_files(renamed.path))
+        alias_map = resolve_aliases({c.author for c in commits})
         records = [r for t in traces for r in score_trace(t, alias_map)]
         carol = next(r for r in records if r.developer.canonical_name == "Carol")
         _check(
@@ -253,10 +253,10 @@ def test_raising_k_never_enlarges_the_author_set(tmp_path):
     failures = []
     try:
         repo = rf.two_author_repo(tmp_path / "two")
-        events = collect_history(repo.path)
+        commits = list(read_log(repo.path))
         targets = list_snapshot_files(repo.path)
-        alias_map = resolve_aliases({e.author for e in events})
-        traces = trace_files(events, targets)
+        alias_map = resolve_aliases({c.author for c in commits})
+        traces = trace_files(commits, targets)
         records = [r for t in traces for r in score_trace(t, alias_map)]
         previous = None
         k = 0.75

@@ -19,7 +19,13 @@ from truckfactor.authorship import (
     select_authors,
 )
 from truckfactor.errors import BlameFailed
-from truckfactor.history import ChangeEvent, ChangeKind, FileTrace, collect_history
+from truckfactor.history import (
+    ChangeKind,
+    Commit,
+    FileTrace,
+    collect_history,
+    trace_files,
+)
 from truckfactor.identity import DeveloperId, RawUser, resolve_aliases
 
 
@@ -28,15 +34,21 @@ def dev(name):
 
 
 def make_trace(path, *steps):
-    """steps: (developer_name, kind) tuples, oldest first. Returns the trace
-    plus the identity alias map for its users."""
-    events = []
+    """steps: (developer_name, kind) tuples, oldest first, one commit each;
+    a rename moves the file to its path from that path plus "~". Returns
+    the trace that trace_files folds from them plus the identity alias map
+    for its users."""
+    newest_first = []
     alias_map = {}
-    for order, (name, kind) in enumerate(steps):
+    at = path
+    for order, (name, kind) in reversed(list(enumerate(steps))):
         user = RawUser(name, f"{name.lower()}@example.com")
         alias_map[user] = DeveloperId(name, frozenset({user}))
-        events.append(ChangeEvent(f"c{order}", user, path, kind))
-    return FileTrace(current_path=path, events=events), alias_map
+        old = at + "~" if kind is ChangeKind.RENAME else None
+        newest_first.append(Commit(f"c{order}", user, [(kind, at, old)]))
+        at = old or at
+    (trace,) = trace_files(newest_first, [path])
+    return trace, alias_map
 
 
 # --- doa -------------------------------------------------------------------
@@ -136,20 +148,23 @@ def test_accumulate_incomplete_trace_assigns_no_first_authorship():
 
 
 def test_accumulate_empty_trace():
-    assert accumulate(FileTrace("f.py", []), {}) == []
+    assert accumulate(FileTrace("f.py"), {}) == []
 
 
-def test_accumulate_first_addition_wins():
-    # trace_files ends a trace at its addition, so it no longer yields two;
-    # a hand-built trace still can, and the first addition wins.
+def test_accumulate_credits_the_addition_that_starts_the_trace():
+    # A later addition at the same path starts a new file: its author
+    # creates it, and the older file's changes are not part of the trace.
     trace, alias_map = make_trace(
         "f.py",
         ("Xena", ChangeKind.ADDITION),
+        ("Xena", ChangeKind.MODIFICATION),
         ("Yuri", ChangeKind.ADDITION),
+        ("Xena", ChangeKind.MODIFICATION),
     )
-    rows = {d.canonical_name: (fa, dl, ac) for d, fa, dl, ac in accumulate(trace, alias_map)}
-    assert rows["Xena"] == (1, 1, 1)
-    assert rows["Yuri"] == (0, 1, 1)
+    assert accumulate(trace, alias_map) == [
+        (dev("Xena"), 0, 1, 1),
+        (dev("Yuri"), 1, 1, 1),
+    ]
 
 
 @given(
@@ -168,7 +183,7 @@ def test_accumulate_conserves_change_counts(steps):
         ],
     )
     rows = accumulate(trace, alias_map)
-    total = len(steps)
+    total = sum(trace.deliveries.values())
     assert sum(dl for _, _, dl, _ in rows) == total
     assert all(dl + ac == total for _, _, dl, ac in rows)
     assert sum(fa for _, fa, _, _ in rows) <= 1

@@ -31,9 +31,17 @@ from truckfactor.filters import FilterRules, builtin_patterns, compile_glob, loa
         ("src/f*.py", "src/f/a.py", False),
         ("src/f?.py", "src/f1.py", True),
         ("src/f?.py", "src/f12.py", False),
-        # character classes
+        # character classes, which never match a '/' either
         ("file[0-9].txt", "file7.txt", True),
         ("file[0-9].txt", "filex.txt", False),
+        ("a[!x]b", "a/b", False),
+        ("a[!x]b", "d/ayb", True),
+        # a path may hold newlines, anywhere but at the very end
+        ("*.min.js", "di\nr/app.min.js", True),
+        ("*.min.js", "app.min.js\n", False),
+        ("docs/**", "docs/a\nb.md", True),
+        ("**/node_modules/**", "x\ny/node_modules/z", True),
+        ("src/f*.py", "src/f1.py\n", False),
         # a trailing slash means everything underneath
         ("docs/", "docs/index.html", True),
         ("docs/", "docs", False),
@@ -80,6 +88,15 @@ def test_default_rules_drop_vendored_docs_and_binaries():
         assert rules.matches(path), path
     for path in kept:
         assert not rules.matches(path), path
+
+
+def test_default_rules_read_paths_with_newlines():
+    rules = FilterRules()
+    assert rules.matches("di\nr/app.min.js")
+    assert rules.matches("x\ny/logo.png")
+    assert rules.matches("vendor/a\nb.c")
+    assert not rules.matches("app.min.js\n")
+    assert not rules.matches("src/main\n.c")
 
 
 def test_builtin_patterns_load_from_package_data():

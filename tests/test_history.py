@@ -1,4 +1,9 @@
+import os
+import shutil
+import sys
 import tempfile
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,28 +14,36 @@ from truckfactor import history
 from truckfactor.errors import EmptyRepository, GitInvocationFailed, NotARepository
 from truckfactor.filters import FilterRules
 from truckfactor.history import (
-    ChangeEvent,
     ChangeKind,
+    Commit,
     FileTrace,
     Revision,
     check_migration,
     collect_history,
     list_snapshot_files,
+    parse_log,
+    read_log,
     resolve_commit,
     resolve_revision,
     trace_files,
 )
 from truckfactor.identity import RawUser
+from truckfactor.pipeline import AnalysisConfig, run
 from truckfactor.report import MigrationSummary
 
 
+_DEV = RawUser("Dev", "dev@example.com")
+
+
 def _trace_of(path, *commit_kind_pairs):
-    """Build a synthetic FileTrace: (commit_id, kind) tuples, oldest first."""
-    events = [
-        ChangeEvent(commit_id, RawUser("Dev", "dev@example.com"), path, kind)
+    """The trace folded from (commit_id, kind) changes to ``path``, oldest
+    first, one commit each."""
+    commits = [
+        Commit(commit_id, _DEV, [(kind, path, None)])
         for commit_id, kind in commit_kind_pairs
     ]
-    return FileTrace(current_path=path, events=events)
+    (trace,) = trace_files(reversed(commits), [path])
+    return trace
 
 
 # --- list_snapshot_files ---------------------------------------------------
@@ -94,9 +107,7 @@ def test_snapshot_keeps_blobs_and_symlinks_but_not_gitlinks(gitlink_repo):
 
 def test_library_traces_are_the_same_from_a_subdirectory(single_author_repo):
     def traces(path):
-        return trace_files(
-            collect_history(path), list_snapshot_files(path, FilterRules.none())
-        )
+        return trace_files(read_log(path), list_snapshot_files(path, FilterRules.none()))
 
     from_root = traces(single_author_repo.path)
     assert [t.current_path for t in from_root] == ["src/f1.py", "src/f2.py", "src/f3.py"]
@@ -197,6 +208,121 @@ def test_history_requires_a_repository(tmp_path):
         collect_history(tmp_path / "missing")
 
 
+def test_log_failures_keep_their_specific_errors(tmp_path, single_author_repo):
+    with pytest.raises(NotARepository):
+        list(read_log(tmp_path / "missing"))
+    with pytest.raises(EmptyRepository):
+        list(read_log(rf.RepoBuilder(tmp_path / "fresh").path))
+    with pytest.raises(GitInvocationFailed, match="'no-such-branch' not found"):
+        list(read_log(single_author_repo.path, "no-such-branch"))
+
+
+def test_a_log_that_fails_partway_raises_with_gits_stderr(tmp_path):
+    # Telling the rename from a delete and an add needs both blobs; with
+    # the old one gone, git fails after printing the newer commits.
+    builder = rf.RepoBuilder(tmp_path / "broken")
+    lines = [f"line {i}\n" for i in range(21)]
+    builder.commit_file("a.txt", "".join(lines[:20]), "add", rf.ALICE)
+    lost = builder.git("rev-parse", "HEAD:a.txt").strip()
+    builder.move("a.txt", "b.txt", "move", rf.BOB)
+    builder.commit_file("b.txt", "".join(lines), "edit", rf.BOB)
+    builder.git("reset", "-q", "--soft", "HEAD~2")
+    builder.git("commit", "-q", "-m", "move and edit", user=rf.BOB)
+    for i in range(50):
+        builder.commit_file(f"later{i}.txt", f"{i}\n", f"later {i}", rf.CAROL)
+    (builder.path / ".git" / "objects" / lost[:2] / lost[2:]).unlink()
+    seen = []
+    with pytest.raises(GitInvocationFailed) as failure:
+        for commit in read_log(builder.path):
+            seen.append(commit)
+    assert failure.value.command.startswith("git log")
+    assert lost in failure.value.stderr
+    assert 0 < len(seen) <= 50
+
+
+# A git that runs the real one, except that "log" runs BODY.
+_FAKE_GIT = """#!{python}
+import os, signal, sys, time
+signal.alarm(20)
+if "log" not in sys.argv:
+    os.execv({git!r}, [{git!r}, *sys.argv[1:]])
+{body}
+"""
+_RECORD = "\\0" + "c" * 40 + "\\0Cy\\0c@x\\nA\\0a.py\\0\\0"
+
+
+@pytest.fixture
+def fake_git(tmp_path, monkeypatch):
+    """A function that puts a fake git first on PATH, one that runs BODY
+    for "log", and returns the list of the processes start_git starts.
+    Any still running at teardown are killed."""
+    started = []
+    real_start_git = history.start_git
+
+    def spy(*args):
+        started.append(real_start_git(*args))
+        return started[-1]
+
+    def install(body):
+        script = tmp_path / "bin" / "git"
+        script.parent.mkdir()
+        git = shutil.which("git")
+        script.write_text(_FAKE_GIT.format(python=sys.executable, git=git, body=body))
+        script.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{script.parent}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.setattr(history, "start_git", spy)
+        return started
+
+    yield install
+    for proc in started:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+def test_a_full_stderr_does_not_stall_the_log(fake_git, single_author_repo):
+    fake_git(
+        f'sys.stderr.write("x" * 1_000_000); sys.stderr.flush()\n'
+        f'sys.stdout.write("{_RECORD}")'
+    )
+    began = time.monotonic()
+    (commit,) = read_log(single_author_repo.path)
+    assert time.monotonic() - began < 10  # git was never blocked on stderr
+    addition = (ChangeKind.ADDITION, "a.py", None)
+    assert commit == Commit("c" * 40, RawUser("Cy", "c@x"), [addition])
+
+
+def test_a_malformed_record_stops_git(fake_git, single_author_repo):
+    started = fake_git(
+        f'sys.stdout.write("{_RECORD}\\0" + "d" * 40 + "\\0Dee\\0d@x\\nM\\0\\0\\0"); '
+        "sys.stdout.flush(); time.sleep(30)"
+    )
+    began = time.monotonic()
+    with pytest.raises(GitInvocationFailed, match="malformed change 'M'"):
+        list(read_log(single_author_repo.path))
+    assert time.monotonic() - began < 10  # git was stopped, not waited for
+    (log,) = started
+    assert log.poll() is not None
+
+
+def test_a_consumer_that_raises_stops_git(fake_git, monkeypatch, single_author_repo):
+    started = fake_git(
+        f'sys.stdout.write("{_RECORD}"); sys.stdout.flush(); time.sleep(30)'
+    )
+
+    def failing_trace_files(commits, targets):
+        next(iter(commits))
+        raise RuntimeError("consumer failed")
+
+    monkeypatch.setattr(history, "trace_files", failing_trace_files)
+    began = time.monotonic()
+    with pytest.raises(RuntimeError, match="consumer failed"):
+        run(AnalysisConfig(repo_path=str(single_author_repo.path)))
+    assert time.monotonic() - began < 10  # git was stopped, not waited for
+    assert "log" in started[-1].args
+    assert all(proc.poll() is not None for proc in started)
+
+
 def test_history_reads_a_sha256_repository(tmp_path):
     builder = rf.rename_repo(tmp_path / "sha256", object_format="sha256")
     events = collect_history(builder.path)
@@ -223,22 +349,33 @@ def test_non_utf8_names_stay_distinct(latin1_repo):
     assert {e.author for e in events} == {RawUser(*rf.LATIN1_AUTHOR)}
 
 
-def test_history_reads_the_record_grammar(monkeypatch):
+def test_history_reads_the_record_grammar():
     a, b, c = "a" * 64, "b" * 40, "c" * 64
     # Newest first: a copy and a rename, an empty commit by an unnamed
-    # author, then an addition, a deletion and a modification.
+    # author, then an addition, a deletion and a modification. "Zo\u00eb"
+    # is two bytes in UTF-8; "\udce9" stands for the lone byte 0xE9.
     out = (
-        f"\0{c}\0Cy\0c@x\nC075\0src.py\0copy.py\0R100\0old.py\0new.py\0"
+        f"\0{c}\0Zo\u00eb\0c@x\nC075\0src.py\0copy.py\0R100\0old.py\0new.py\0"
         f"\0\0{b}\0\0b@x"
-        f"\0\0{a}\0An\0a@x\nA\0old.py\0D\0gone.py\0M\0src.py\0"
-    )
-    monkeypatch.setattr(history, "run_git", lambda *_: out)
-    events = collect_history("unused")
-    assert events == [
-        ChangeEvent(a, RawUser("An", "a@x"), "old.py", ChangeKind.ADDITION),
-        ChangeEvent(a, RawUser("An", "a@x"), "src.py", ChangeKind.MODIFICATION),
-        ChangeEvent(c, RawUser("Cy", "c@x"), "new.py", ChangeKind.RENAME, "old.py"),
+        f"\0\0{a}\0An\0a@x\nA\0caf\udce9.py\0D\0gone.py\0M\0src.py\0"
+    ).encode("utf-8", "surrogateescape")
+    want = [
+        Commit(c, RawUser("Zo\u00eb", "c@x"), [(ChangeKind.RENAME, "new.py", "old.py")]),
+        Commit(b, RawUser("", "b@x"), []),
+        Commit(
+            a,
+            RawUser("An", "a@x"),
+            [
+                (ChangeKind.ADDITION, "caf\udce9.py", None),
+                (ChangeKind.MODIFICATION, "src.py", None),
+            ],
+        ),
     ]
+    assert list(parse_log([out])) == want
+    # Read chunks may end anywhere, even inside a character.
+    for cut in range(len(out) + 1):
+        assert list(parse_log([out[:cut], out[cut:]])) == want
+    assert list(parse_log(out[i : i + 1] for i in range(len(out)))) == want
 
 
 @pytest.mark.parametrize(
@@ -252,10 +389,9 @@ def test_history_reads_the_record_grammar(monkeypatch):
     ],
     ids=["id", "name", "change", "rename", "last-rename"],
 )
-def test_history_rejects_a_truncated_record(monkeypatch, out):
-    monkeypatch.setattr(history, "run_git", lambda *_: out)
+def test_history_rejects_a_truncated_record(out):
     with pytest.raises(GitInvocationFailed):
-        collect_history("unused")
+        list(parse_log([out.encode()]))
 
 
 # --- round trip through git fast-import --------------------------------------
@@ -327,31 +463,32 @@ def test_traces_hold_exactly_the_changes_of_each_file(commits):
         repo = Path(scratch) / "repo.git"
         planned, final = rf.import_plan(repo, commits)
         ids = rf.commit_ids(repo)
-        traces = trace_files(
-            collect_history(repo), list_snapshot_files(repo, FilterRules.none())
-        )
+        snapshot = list_snapshot_files(repo, FilterRules.none())
+        traces = trace_files(read_log(repo), snapshot)
     assert [trace.current_path for trace in traces] == sorted(final)
     for trace in traces:
-        got = [
-            (e.commit_id, e.author, e.kind, e.path, e.old_path) for e in trace.events
-        ]
-        want = [
-            (ids[i], author, kind, path, old_path)
-            for i, (_, changes) in enumerate(planned)
-            for author, kind, path, old_path, identity in changes
+        changes = [
+            (ids[i], author, kind)
+            for i, (_, planned_changes) in enumerate(planned)
+            for author, kind, _, _, identity in planned_changes
             if identity == final[trace.current_path]
         ]
-        assert got == want
+        (creation,) = [c for c in changes if c[2] is ChangeKind.ADDITION]
+        assert trace.deliveries == Counter(author for _, author, _ in changes)
+        assert (trace.creating_commit, trace.creator) == creation[:2]
+        assert trace.complete
 
 
 # --- trace_files -----------------------------------------------------------
 
 
 def test_trace_follows_rename_chain(rename_repo):
-    events = collect_history(rename_repo.path)
-    (trace,) = trace_files(events, ["src/renamed.py"])
+    (trace,) = trace_files(read_log(rename_repo.path), ["src/renamed.py"])
     assert trace.current_path == "src/renamed.py"
-    assert [e.kind for e in trace.events] == [ChangeKind.ADDITION, ChangeKind.RENAME]
+    carol, dave = RawUser(*rf.CAROL), RawUser(*rf.DAVE)
+    assert trace.deliveries == {carol: 1, dave: 1}
+    assert trace.creator == carol
+    assert trace.creating_commit == rename_repo.git("rev-parse", "HEAD~").strip()
     assert trace.complete
 
 
@@ -363,37 +500,35 @@ def test_trace_does_not_absorb_a_reused_old_path(tmp_path):
     builder.move("a.txt", "b.txt", "rename a to b", rf.ALICE)
     builder.commit_file("a.txt", "completely different\n", "new a", rf.BOB)
     builder.commit_file("a.txt", "completely different\nplus\n", "touch new a", rf.BOB)
-    events = collect_history(builder.path)
-    b_trace, a_trace = trace_files(events, ["b.txt", "a.txt"])
-    assert [e.author.name for e in b_trace.events] == ["Alice", "Alice"]
-    assert b_trace.complete
-    assert [e.author.name for e in a_trace.events] == ["Bob", "Bob"]
-    assert a_trace.events[0].kind is ChangeKind.ADDITION
+    b_trace, a_trace = trace_files(read_log(builder.path), ["b.txt", "a.txt"])
+    alice, bob = RawUser(*rf.ALICE), RawUser(*rf.BOB)
+    assert b_trace.deliveries == {alice: 2}
+    assert b_trace.creator == alice
+    assert a_trace.deliveries == {bob: 2}
+    assert a_trace.creator == bob
+    assert a_trace.creating_commit == builder.git("rev-parse", "HEAD~").strip()
 
 
 def test_trace_of_unknown_target_is_empty_and_incomplete():
     (trace,) = trace_files([], ["ghost.py"])
-    assert trace.events == []
+    assert trace == FileTrace("ghost.py")
     assert not trace.complete
 
 
 def test_traces_come_back_in_target_order(two_author_repo):
-    events = collect_history(two_author_repo.path)
     targets = ["f4.py", "f1.py", "f3.py"]
-    traces = trace_files(events, targets)
+    traces = trace_files(read_log(two_author_repo.path), targets)
     assert [t.current_path for t in traces] == targets
 
 
-def test_trace_events_are_ordered_and_disjoint(two_author_repo):
+def test_each_change_is_delivered_to_one_trace(two_author_repo):
     events = collect_history(two_author_repo.path)
-    traces = trace_files(events, ["f1.py", "f2.py", "f3.py", "f4.py"])
-    position = {event: i for i, event in enumerate(events)}
-    seen = set()
+    targets = ["f1.py", "f2.py", "f3.py", "f4.py"]
+    traces = trace_files(read_log(two_author_repo.path), targets)
     for trace in traces:
-        positions = [position[e] for e in trace.events]
-        assert positions == sorted(positions)
-        assert not (set(positions) & seen)
-        seen |= set(positions)
+        at_path = [e.author for e in events if e.path == trace.current_path]
+        assert trace.deliveries == Counter(at_path)
+    assert sum(sum(t.deliveries.values()) for t in traces) == len(events)
 
 
 # --- check_migration -------------------------------------------------------
@@ -432,13 +567,8 @@ def test_concentrated_additions_are_suspicious():
 
 def test_migration_check_handles_no_traces_and_no_additions():
     assert check_migration([]) == MigrationSummary(checked=True)
-    assert check_migration([FileTrace("f.py", [])]) == MigrationSummary(checked=True)
-    incomplete = [
-        FileTrace(
-            "f.py",
-            [ChangeEvent("c1", RawUser("D", "d@x"), "f.py", ChangeKind.MODIFICATION)],
-        )
-    ]
+    assert check_migration([FileTrace("f.py")]) == MigrationSummary(checked=True)
+    incomplete = [_trace_of("f.py", ("c1", ChangeKind.MODIFICATION))]
     verdict = check_migration(incomplete)
     assert not verdict.suspicious
     assert verdict.adding_commits == 0

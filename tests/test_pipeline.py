@@ -76,6 +76,19 @@ def test_reports_are_deterministic(two_author_repo):
     assert emit(first, "json") == emit(second, "json")
 
 
+def test_commits_that_add_nothing_still_count(tmp_path):
+    builder = rf.RepoBuilder(tmp_path / "quiet")
+    builder.write("a.py", "a\n")
+    builder.write("b.py", "b\n")
+    builder.commit_all("add two files", rf.ALICE)
+    builder.git("rm", "-q", "b.py")
+    builder.git("commit", "-q", "-m", "delete one", user=rf.BOB)
+    builder.git("commit", "-q", "--allow-empty", "-m", "empty", user=rf.CAROL)
+    report = run(AnalysisConfig(repo_path=str(builder.path)))
+    assert report.totals == {"developers": 3, "authors": 1, "files": 1, "commits": 3}
+    assert report.author_ratio == pytest.approx(1 / 3)
+
+
 def test_migration_warning_on_bulk_import(bulk_import_repo):
     report = run(AnalysisConfig(repo_path=str(bulk_import_repo.path)))
     assert report.migration.checked
@@ -184,19 +197,19 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
     head = two_author_repo.head()
     calls = []
     lock = threading.Lock()
-    real_run_git = history.run_git
+    real_start_git = history.start_git
 
-    def spy(repo_path, args):
+    def spy(repo_path, args, stderr):
         with lock:
             calls.append(list(args))
             first = len(calls) == 1
-        out = real_run_git(repo_path, args)
+        proc = real_start_git(repo_path, args, stderr)
         if first:  # the branch moves right after it was resolved
+            proc.wait()  # rev-parse prints three short lines
             two_author_repo.commit_file("late.py", "late\n", "late", rf.CAROL)
-        return out
+        return proc
 
-    monkeypatch.setattr(history, "run_git", spy)
-    monkeypatch.setattr(authorship, "run_git", spy)
+    monkeypatch.setattr(history, "start_git", spy)
     config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
     report = run(config)
     assert two_author_repo.head() != head
