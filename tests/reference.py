@@ -40,11 +40,25 @@ def doa(fa: int, dl: int, ac: int) -> float:
     return 3.293 + 1.098 * fa + 0.164 * dl - 0.321 * math.log(1 + ac)
 
 
-def _developers(counts: dict) -> dict:
-    """Each user mapped to (label, members): users sharing a folded email,
-    or with folded names at most one edit apart, closed transitively; the
-    label is the name of the member with the most commits, ties to the
-    smallest (name, email)."""
+def _developers(
+    counts: dict, overrides: dict | None = None, merge_similar_names: bool = True
+) -> dict:
+    """Each user mapped to (label, members). Users are merged, transitively,
+    when they share a folded non-empty email, when their folded names are at
+    most one edit apart (equal, when ``merge_similar_names`` is off), or when
+    ``overrides`` gives them the same label. A user's label comes from its
+    folded email's rule if there is one, else from its folded name's. A group
+    takes its smallest label; without one, the name of the member with the
+    most commits, ties to the smallest (name, email)."""
+    overrides = overrides or {}
+
+    def label(user):
+        email = fold(user.email)
+        if email and email in overrides:
+            return overrides[email]
+        return overrides.get(fold(user.name))
+
+    near = 1 if merge_similar_names else 0
     groups = [{user} for user in counts]
     merged = True
     while merged:
@@ -52,7 +66,8 @@ def _developers(counts: dict) -> dict:
         for a, b in itertools.combinations(range(len(groups)), 2):
             if any(
                 (fold(u.email) and fold(u.email) == fold(v.email))
-                or levenshtein(fold(u.name), fold(v.name)) <= 1
+                or levenshtein(fold(u.name), fold(v.name)) <= near
+                or (label(u) is not None and label(u) == label(v))
                 for u in groups[a]
                 for v in groups[b]
             ):
@@ -61,8 +76,9 @@ def _developers(counts: dict) -> dict:
                 break
     developers = {}
     for group in groups:
+        labels = sorted(label(u) for u in group if label(u) is not None)
         best = min(group, key=lambda u: (-counts[u], u.name, u.email))
-        developer = (best.name, frozenset(group))
+        developer = (labels[0] if labels else best.name, frozenset(group))
         developers.update((user, developer) for user in group)
     return developers
 

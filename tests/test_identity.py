@@ -1,10 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import levenshtein
+from reference import _developers, levenshtein
 from truckfactor.identity import (
     RawUser,
     fold_name,
@@ -198,6 +198,42 @@ def test_distinct_developers_share_no_merge_evidence(users):
                     email_a = fold_name(a.email)
                     assert not (email_a and email_a == fold_name(b.email))
                     assert levenshtein(fold_name(a.name), fold_name(b.name)) > 1
+
+
+# Names one edit apart ("ann"/"anne"/"ana"), transposed ("ann"/"nan"),
+# precomposed and decomposed ("René"), and empty; an email in two letter
+# cases and an empty email.
+_MODEL_NAMES = ["ann", "Ann", "anne", "ana", "nan", "bo", "bob", "René", "Rene\u0301", ""]
+_MODEL_EMAILS = ["", "a@x.com", "A@X.com", "b@y.org", "c@z.net"]
+_MODEL_KEYS = sorted(
+    {fold_name(key) for key in _MODEL_NAMES + _MODEL_EMAILS if fold_name(key)}
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.dictionaries(
+        st.builds(
+            RawUser, st.sampled_from(_MODEL_NAMES), st.sampled_from(_MODEL_EMAILS)
+        ),
+        st.integers(1, 2),
+        min_size=1,
+        max_size=7,
+    ),
+    st.dictionaries(
+        st.sampled_from(_MODEL_KEYS), st.sampled_from(["Lee", "Kim", "ann"]), max_size=4
+    ),
+    st.booleans(),
+)
+def test_resolve_aliases_equals_the_reference_model(counts, overrides, merge):
+    # Override keys are folded, as load_alias_overrides returns them; a
+    # label may equal the name of a user no rule matches.
+    mapping = resolve_aliases(
+        counts, commit_counts=counts, overrides=overrides, merge_similar_names=merge
+    )
+    assert {user: (dev.canonical_name, dev.members) for user, dev in mapping.items()} == (
+        _developers(counts, overrides, merge)
+    )
 
 
 # --- candidates and overrides --------------------------------------------
