@@ -136,8 +136,7 @@ def select_authors(
     for record in records:
         if record.doa_norm > k and record.doa_abs >= m:
             entries[record.developer].add(record.file)
-    ordered = sorted(entries.items(), key=lambda kv: kv[0].canonical_name)
-    return AuthorFileMap({dev: files for dev, files in ordered})
+    return AuthorFileMap(dict(entries))
 
 
 def blame_rank(

@@ -55,25 +55,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--k",
         type=float,
-        default=0.75,
-        help="normalized authorship threshold, exclusive (default: 0.75)",
+        default=AnalysisConfig.k,
+        help="normalized authorship threshold, exclusive (default: %(default)s)",
     )
     parser.add_argument(
         "--m",
         type=float,
-        default=3.293,
-        help="absolute authorship floor, inclusive (default: 3.293)",
+        default=AnalysisConfig.m,
+        help="absolute authorship floor, inclusive (default: %(default)s)",
     )
     parser.add_argument(
         "--coverage",
         type=float,
-        default=0.5,
-        help="fraction of files that must stay covered (default: 0.5)",
+        default=AnalysisConfig.coverage,
+        help="fraction of files that must stay covered (default: %(default)s)",
     )
     parser.add_argument(
         "--universe",
         choices=("authored", "all-files"),
-        default="authored",
+        default=AnalysisConfig.universe,
         help="coverage denominator: authored files only, or every analyzed file",
     )
     parser.add_argument(
@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed",
         type=int,
-        default=0,
-        help="RNG seed for --blame-compare sampling (default: 0)",
+        default=AnalysisConfig.seed,
+        help="RNG seed for --blame-compare sampling (default: %(default)s)",
     )
     parser.add_argument(
         "--alias-report",

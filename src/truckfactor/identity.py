@@ -4,15 +4,20 @@ The same person routinely commits under several (name, email) pairs: work
 and personal addresses, "J. Smith" vs "John Smith", dots instead of spaces.
 Counting those as distinct developers splits their contribution and inflates
 every downstream statistic, so before any scoring happens the raw users are
-partitioned into developers. Two users land in the same developer when they
-share a non-empty email address (case-insensitive) or when their normalized
-names are within Levenshtein distance one of each other, and the merge is
-transitive: A~B and B~C puts all three together even if A and C look nothing
-alike.
+partitioned into developers.
 
-Close names come from a FastSS deletion index (Bocek, Hunt and Stiller,
-2007) instead of pairwise comparison, so the cost grows with the total
-length of the names, not with the square of their number.
+:func:`resolve_aliases` does this in one pass over the users in sorted
+order, with one table from keys to the first user seen under each key. A
+user's keys are its folded name, its folded email when that is non-empty,
+and the label an override rule gives it; under each key the user joins the
+table's first user. Close names then join the first users of their two name
+keys. The joins form a union-find, so the merge is transitive: A~B and B~C
+puts all three together even if A and C look nothing alike.
+
+Close names are folded names at Levenshtein distance one. They come from a
+FastSS deletion index (Bocek, Hunt and Stiller, 2007) instead of pairwise
+comparison, so the cost grows with the total length of the names, not with
+the square of their number.
 
 Automatic distance-one merging is heuristic and occasionally wrong ("Sara"
 and "Sarah" may be two people), so callers can suspend it and inspect the
@@ -24,22 +29,19 @@ from __future__ import annotations
 
 import unicodedata
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class RawUser:
+class RawUser(NamedTuple):
     """One (name, email) pair exactly as it appears in the commit metadata."""
 
     name: str
     email: str
 
 
-@dataclass(frozen=True)
-class DeveloperId:
+class DeveloperId(NamedTuple):
     """A canonical developer covering one or more raw users."""
 
     canonical_name: str
@@ -52,32 +54,6 @@ class DeveloperId:
 def fold_name(name: str) -> str:
     """Normalize a name for comparison: NFC, trimmed, casefolded."""
     return unicodedata.normalize("NFC", name).strip().casefold()
-
-
-class _UnionFind:
-    def __init__(self, items: Iterable[RawUser]):
-        self._parent = {item: item for item in items}
-
-    def find(self, item: RawUser) -> RawUser:
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a: RawUser, b: RawUser) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:  # keep the smaller user as root, for determinism
-                ra, rb = rb, ra
-            self._parent[rb] = ra
-
-    def groups(self) -> list[frozenset[RawUser]]:
-        members: dict[RawUser, set[RawUser]] = defaultdict(set)
-        for item in self._parent:
-            members[self.find(item)].add(item)
-        return [frozenset(group) for _, group in sorted(members.items())]
 
 
 def _close_name_pairs(names: Iterable[str]) -> list[tuple[str, str]]:
@@ -103,13 +79,6 @@ def _close_name_pairs(names: Iterable[str]) -> list[tuple[str, str]]:
     for bucket in buckets.values():
         pairs.update(combinations(sorted(bucket), 2))
     return sorted(pairs, key=lambda pair: (len(pair[0]), pair[0], len(pair[1]), pair[1]))
-
-
-def _override_target(user: RawUser, overrides: Mapping[str, str]) -> str | None:
-    email = fold_name(user.email)
-    if email and email in overrides:
-        return overrides[email]
-    return overrides.get(fold_name(user.name))
 
 
 def _canonical_name(
@@ -141,7 +110,8 @@ def resolve_aliases(
       ``merge_similar_names`` is false, which is what the alias-report mode
       uses to show candidates without acting on them;
     * two users forced to the same canonical name by ``overrides`` (keys are
-      folded emails or names, values the canonical name to use).
+      folded emails or names, values the canonical name to use; a user's
+      email rule wins over its name rule).
 
     Each developer is labeled with the name of its member with the most
     commits (per ``commit_counts``; ties broken by the lexicographically
@@ -150,62 +120,60 @@ def resolve_aliases(
     users = sorted(set(users))
     if not users:
         raise ValueError("at least one user is required")
-    counts = dict(commit_counts) if commit_counts else {}
-    uf = _UnionFind(users)
+    counts = commit_counts or {}
+    overrides = overrides or {}
+    parent = {user: user for user in users}
 
-    by_email: dict[str, list[RawUser]] = defaultdict(list)
-    for user in users:
-        email = fold_name(user.email)
-        if email:
-            by_email[email].append(user)
-    for group in by_email.values():
-        for other in group[1:]:
-            uf.union(group[0], other)
+    def find(user: RawUser) -> RawUser:
+        while parent[user] != user:
+            parent[user] = user = parent[parent[user]]
+        return user
 
-    by_name: dict[str, list[RawUser]] = defaultdict(list)
-    for user in users:
-        by_name[fold_name(user.name)].append(user)
-    for group in by_name.values():
-        for other in group[1:]:
-            uf.union(group[0], other)
-    if merge_similar_names:
-        for name_a, name_b in _close_name_pairs(by_name):
-            uf.union(by_name[name_a][0], by_name[name_b][0])
+    def union(a: RawUser, b: RawUser) -> None:
+        parent[find(b)] = find(a)
 
+    # The first (smallest) user seen under each key; every later user with
+    # that key joins it.
+    first: dict[tuple[str, str], RawUser] = {}
     forced: dict[RawUser, str] = {}
-    if overrides:
-        by_target: dict[str, list[RawUser]] = defaultdict(list)
-        for user in users:
-            target = _override_target(user, overrides)
-            if target is not None:
-                forced[user] = target
-                by_target[target].append(user)
-        for group in by_target.values():
-            for other in group[1:]:
-                uf.union(group[0], other)
+    for user in users:
+        name, email = fold_name(user.name), fold_name(user.email)
+        keys = [("name", name)]
+        target = overrides.get(name)
+        if email:
+            keys.append(("email", email))
+            target = overrides.get(email, target)
+        if target is not None:
+            forced[user] = target
+            keys.append(("forced", target))
+        for key in keys:
+            union(first.setdefault(key, user), user)
+    if merge_similar_names:
+        names = [name for kind, name in first if kind == "name"]
+        for a, b in _close_name_pairs(names):
+            union(first["name", a], first["name", b])
 
+    groups: dict[RawUser, list[RawUser]] = defaultdict(list)
+    for user in users:
+        groups[find(user)].append(user)
     mapping: dict[RawUser, DeveloperId] = {}
-    for members in uf.groups():
+    for members in map(frozenset, groups.values()):
         developer = DeveloperId(_canonical_name(members, counts, forced), members)
-        for user in members:
-            mapping[user] = developer
+        mapping.update(dict.fromkeys(members, developer))
     return mapping
 
 
 def name_merge_candidates(users: Iterable[RawUser]) -> list[tuple[RawUser, RawUser]]:
     """The distance-one name pairs that automatic resolution would merge.
 
-    Returns one representative user per folded name, so reviewers can judge
-    the merges that :func:`resolve_aliases` applies by default.
+    Returns one representative user per folded name, the smallest, so
+    reviewers can judge the merges that :func:`resolve_aliases` applies by
+    default.
     """
-    users = sorted(set(users))
-    by_name: dict[str, list[RawUser]] = defaultdict(list)
-    for user in users:
-        by_name[fold_name(user.name)].append(user)
-    return [
-        (by_name[a][0], by_name[b][0])
-        for a, b in _close_name_pairs(by_name)
-    ]
+    first: dict[str, RawUser] = {}
+    for user in sorted(set(users)):
+        first.setdefault(fold_name(user.name), user)
+    return [(first[a], first[b]) for a, b in _close_name_pairs(first)]
 
 
 def load_alias_overrides(path: str | Path) -> dict[str, str]:

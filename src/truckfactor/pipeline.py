@@ -40,7 +40,7 @@ class AnalysisConfig:
     patterns_file: str | None = None
     alias_file: str | None = None
     k: float = 0.75
-    m: float = 3.293
+    m: float = authorship.DOA_INTERCEPT
     coverage: float = 0.5
     universe: str = "authored"  # or "all-files"
     blame_compare: bool = False
@@ -155,18 +155,12 @@ def run(config: AnalysisConfig) -> Report:
     overrides = (
         identity.load_alias_overrides(config.alias_file) if config.alias_file else None
     )
-    candidates = None
-    if config.alias_report:
-        candidates = identity.name_merge_candidates(users) if users else []
-    alias_map = (
-        identity.resolve_aliases(
-            users,
-            commit_counts=commit_counts,
-            overrides=overrides,
-            merge_similar_names=not config.alias_report,
-        )
-        if users
-        else {}
+    candidates = identity.name_merge_candidates(users) if config.alias_report else None
+    alias_map = identity.resolve_aliases(
+        users,
+        commit_counts=commit_counts,
+        overrides=overrides,
+        merge_similar_names=not config.alias_report,
     )
 
     # Scored one file at a time, so no more than one file's records are held.

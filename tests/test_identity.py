@@ -307,6 +307,15 @@ def test_override_canonical_name_beats_commit_counts():
     assert mapping[u1].canonical_name == "Robert Roberts"
 
 
+def test_override_relabels_only_the_users_it_matches():
+    # Bob's own name equals the label, but no rule matches him, so the
+    # report lists two developers called Bob.
+    alice, bob = RawUser("Alice", "alice@x"), RawUser("Bob", "bob@y")
+    mapping = resolve_aliases([alice, bob], overrides={"alice@x": "Bob"})
+    assert mapping[alice] != mapping[bob]
+    assert mapping[alice].canonical_name == mapping[bob].canonical_name == "Bob"
+
+
 def test_override_keys_match_case_insensitively(tmp_path):
     rules = tmp_path / "aliases.txt"
     rules.write_text("BOB@X.COM => The Real Bob\n", encoding="utf-8")
