@@ -144,11 +144,14 @@ def blame_rank(
     file: str,
     alias_map: Mapping[RawUser, DeveloperId],
     branch: str | None = None,
+    *,
+    env: Mapping[str, str] | None = None,
 ) -> list[tuple[DeveloperId, int]]:
     """Developers ranked by how many of ``file``'s lines they last touched.
 
     ``file`` is relative to ``repo_path``, as for ``git blame``; pass the
     repository root (or its git directory) for a root-relative path.
+    ``env``, when given, is git's whole environment.
 
     This is the independent signal used to sanity-check the change-based
     scores: surviving lines per developer, from ``git blame --porcelain``.
@@ -166,7 +169,7 @@ def blame_rank(
     # clears it, only --no-ignore-revs-file does.
     args = ["blame", "--porcelain", "--no-ignore-revs-file", branch or "HEAD"]
     try:
-        out = run_git(repo_path, [*args, "--", file])
+        out = run_git(repo_path, [*args, "--", file], env=env)
     except GitInvocationFailed as exc:
         raise BlameFailed(f"blame failed for {file}: {exc.stderr or exc}") from exc
     lines_by_commit: dict[str, int] = defaultdict(int)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import EmptyRepository, GitInvocationFailed, NotARepository
 from .filters import FilterRules
@@ -87,14 +87,22 @@ _CHUNK_BYTES = 1 << 16
 
 
 def start_git(
-    repo_path: str | Path, args: Sequence[str], stderr: int | IO[bytes]
+    repo_path: str | Path,
+    args: Sequence[str],
+    stderr: int | IO[bytes],
+    env: Mapping[str, str] | None = None,
+    stdin: int | None = None,
 ) -> subprocess.Popen[bytes]:
     """Start one git command in ``repo_path``, with the pinned config, its
-    stdout a pipe and its stderr going to ``stderr``."""
+    stdout a pipe and its stderr going to ``stderr``. ``env`` replaces this
+    process's environment when given, and ``stdin`` is passed to
+    :class:`subprocess.Popen` as it is."""
     try:
         return subprocess.Popen(
             ["git", *_PINNED_CONFIG, *args],
             cwd=str(repo_path),
+            env=env,
+            stdin=stdin,
             stdout=subprocess.PIPE,
             stderr=stderr,
         )
@@ -102,8 +110,17 @@ def start_git(
         raise GitInvocationFailed(" ".join(["git", *args]), str(exc)) from exc
 
 
-def run_git(repo_path: str | Path, args: Sequence[str]) -> str:
+def run_git(
+    repo_path: str | Path,
+    args: Sequence[str],
+    *,
+    env: Mapping[str, str] | None = None,
+    input: bytes | None = None,
+) -> str:
     """Run one git command in ``repo_path`` and return its stdout.
+
+    ``env``, when given, is git's whole environment, and ``input``, when
+    given, is written to git's stdin.
 
     Every output is decoded here, once, as UTF-8 with ``surrogateescape``:
     bytes that are not UTF-8 (a Latin-1 path or author name) become lone
@@ -112,8 +129,9 @@ def run_git(repo_path: str | Path, args: Sequence[str]) -> str:
     no newline translation: a ``\r`` inside a file's content (as ``git
     blame`` prints it) must not become a line break.
     """
-    with start_git(repo_path, args, subprocess.PIPE) as proc:
-        out, err = proc.communicate()
+    stdin = None if input is None else subprocess.PIPE
+    with start_git(repo_path, args, subprocess.PIPE, env, stdin) as proc:
+        out, err = proc.communicate(input)
     if proc.returncode != 0:
         stderr = err.decode("utf-8", "replace").strip()
         raise GitInvocationFailed(" ".join(["git", *args]), stderr)

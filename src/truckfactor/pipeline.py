@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import os
 import random
+import tempfile
 from collections import Counter
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import authorship, estimate, history, identity
-from .errors import BlameFailed
+from .errors import BlameFailed, GitInvocationFailed
 from .filters import FilterRules, load_pattern_file
 from .report import (
     SCHEMA_VERSION,
@@ -82,6 +83,47 @@ def _blame_workers() -> int:
     return min(4, cpus)
 
 
+@contextmanager
+def _changed_path_graph(
+    revision: history.Revision,
+) -> Iterator[dict[str, str] | None]:
+    """An environment in which git reads a commit-graph of the resolved
+    commit's history, with changed-path Bloom filters, or ``None`` when git
+    could not write one.
+
+    With the filters, ``git blame`` skips the tree lookup at every commit
+    that did not touch the blamed path; they have no false negatives, so
+    blame prints the same bytes. The graph is written into a temporary
+    object directory, never into the repository, and removed on exit. git
+    writes a graph only for an object directory it reads, so that directory
+    is appended to ``GIT_ALTERNATE_OBJECT_DIRECTORIES`` for the write too.
+    A repository's own commit-graph is read first, and this one then goes
+    unused.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        objects = os.path.abspath(tmp)  # git runs in another directory
+        env: dict[str, str] | None = dict(os.environ)
+        alternates = env.get("GIT_ALTERNATE_OBJECT_DIRECTORIES")
+        env["GIT_ALTERNATE_OBJECT_DIRECTORIES"] = (
+            f"{alternates}{os.pathsep}{objects}" if alternates else objects
+        )
+        args = [
+            "commit-graph",
+            "write",
+            "--stdin-commits",
+            "--changed-paths",
+            "--no-progress",
+            f"--object-dir={objects}",
+        ]
+        try:
+            history.run_git(
+                revision.git_dir, args, env=env, input=f"{revision.commit}\n".encode()
+            )
+        except GitInvocationFailed:
+            env = None  # blame as without the graph
+        yield env
+
+
 def _blame_agreement(
     revision: history.Revision,
     targets: list[str],
@@ -93,7 +135,8 @@ def _blame_agreement(
 
     The sampled files are blamed at the resolved commit on a pool of
     :func:`_blame_workers` threads, each waiting on one ``git blame``
-    process. A file that blame cannot rank counts as one failure.
+    process that reads :func:`_changed_path_graph`. A file that blame
+    cannot rank counts as one failure.
     """
     # Imported here so that runs without a blame sample do not pay for it.
     from concurrent.futures import ThreadPoolExecutor
@@ -105,13 +148,14 @@ def _blame_agreement(
     def rank(file: str) -> list[tuple[identity.DeveloperId, int]] | None:
         try:
             return authorship.blame_rank(
-                revision.git_dir, file, alias_map, branch=revision.commit
+                revision.git_dir, file, alias_map, branch=revision.commit, env=env
             )
         except BlameFailed:
             return None
 
-    with ThreadPoolExecutor(max_workers=_blame_workers()) as executor:
-        rankings = list(executor.map(rank, sample))
+    with _changed_path_graph(revision) as env:
+        with ThreadPoolExecutor(max_workers=_blame_workers()) as executor:
+            rankings = list(executor.map(rank, sample))
 
     ranked = {
         file: [dev for dev, _ in ranking]

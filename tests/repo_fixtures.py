@@ -193,6 +193,16 @@ def interleaved_blame_repo(path: Path, object_format: str = "sha1") -> RepoBuild
     return builder
 
 
+def commit_graph_repo(path: Path, object_format: str = "sha1") -> RepoBuilder:
+    """two_author_repo after Carol moves f3 into lib/, with a commit-graph
+    of its own, written without changed-path Bloom filters."""
+    builder = two_author_repo(path, object_format)
+    (builder.path / "lib").mkdir()
+    builder.move("f3.py", "lib/f3.py", "move f3", CAROL)
+    builder.git("commit-graph", "write", "--reachable", "--no-progress")
+    return builder
+
+
 def carriage_return_repo(path: Path, object_format: str = "sha1") -> RepoBuilder:
     """Alice writes three lines; the first holds a lone CR followed by a tab,
     and git breaks lines at LF only. Bob appends a fourth line."""

@@ -1,4 +1,5 @@
 import math
+import os
 from collections import Counter
 
 import pytest
@@ -333,7 +334,7 @@ def test_blame_rank_keeps_a_lone_carriage_return_inside_its_line(
 def test_blame_rank_rejects_lines_of_a_commit_with_no_author(monkeypatch):
     commit = "ab" * 20
     undescribed = f"{commit} 1 1 1\n\tonly line\n"
-    monkeypatch.setattr(authorship, "run_git", lambda *_: undescribed)
+    monkeypatch.setattr(authorship, "run_git", lambda *_, **__: undescribed)
     with pytest.raises(BlameFailed, match="no author"):
         blame_rank(".", "data.txt", {})
 
@@ -344,6 +345,15 @@ def test_blame_rank_of_single_author_file(single_author_repo):
     assert len(ranking) == 1
     assert ranking[0][0].canonical_name == "Alice"
     assert ranking[0][1] == 1  # the file is one line long
+
+
+def test_blame_rank_runs_git_in_the_environment_it_is_given(
+    tmp_path, single_author_repo
+):
+    elsewhere = {**os.environ, "GIT_DIR": str(tmp_path / "nowhere")}
+    assert blame_rank(single_author_repo.path, "src/f1.py", {}, env=os.environ)
+    with pytest.raises(BlameFailed):
+        blame_rank(single_author_repo.path, "src/f1.py", {}, env=elsewhere)
 
 
 def test_blame_rank_empty_file(tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import os
 import shutil
 import sys
@@ -572,3 +573,20 @@ def test_migration_check_handles_no_traces_and_no_additions():
     verdict = check_migration(incomplete)
     assert not verdict.suspicious
     assert verdict.adding_commits == 0
+
+
+def test_only_history_starts_processes():
+    # Every git process then goes through start_git and gets the pinned config.
+    package = Path(history.__file__).parent
+    importers = []
+    for module in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "subprocess" for name in names):
+                importers.append(module.relative_to(package).as_posix())
+    assert importers == ["history.py"]

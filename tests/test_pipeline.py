@@ -1,15 +1,21 @@
 import json
+import os
 import random
+import shutil
 import subprocess
+import sys
+import tempfile
 import threading
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
 import repo_fixtures as rf
 from truckfactor import authorship, history, pipeline
 from truckfactor.authorship import AuthorFileMap
+from truckfactor.cli import main
 from truckfactor.errors import BlameFailed
 from truckfactor.history import Revision
 from truckfactor.identity import DeveloperId, RawUser
@@ -161,7 +167,7 @@ def test_blame_pool_tallies_like_a_sequential_loop(monkeypatch):
     lock = threading.Lock()
     running = peak = 0
 
-    def fake_blame_rank(repo_path, file, alias_map, branch=None):
+    def fake_blame_rank(repo_path, file, alias_map, branch=None, env=None):
         nonlocal running, peak
         with lock:
             running += 1
@@ -196,28 +202,37 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
 ):
     head = two_author_repo.head()
     calls = []
+    inputs = []
     lock = threading.Lock()
     real_start_git = history.start_git
+    real_run_git = history.run_git
 
-    def spy(repo_path, args, stderr):
+    def spy(repo_path, args, stderr, *rest):
         with lock:
             calls.append(list(args))
             first = len(calls) == 1
-        proc = real_start_git(repo_path, args, stderr)
+        proc = real_start_git(repo_path, args, stderr, *rest)
         if first:  # the branch moves right after it was resolved
             proc.wait()  # rev-parse prints three short lines
             two_author_repo.commit_file("late.py", "late\n", "late", rf.CAROL)
         return proc
 
+    def run_git_spy(repo_path, args, **kwargs):
+        inputs.append((args[0], kwargs.get("input")))
+        return real_run_git(repo_path, args, **kwargs)
+
     monkeypatch.setattr(history, "start_git", spy)
+    monkeypatch.setattr(history, "run_git", run_git_spy)
     config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
     report = run(config)
     assert two_author_repo.head() != head
     assert report.head_commit == head
     assert report.totals == {"developers": 2, "authors": 2, "files": 4, "commits": 7}
     subcommands = [args[0] for args in calls]
-    assert subcommands == ["rev-parse", "ls-tree", "log"] + ["blame"] * 4
-    assert all(head in args for args in calls[1:])
+    expected = ["rev-parse", "ls-tree", "log", "commit-graph"] + ["blame"] * 4
+    assert subcommands == expected
+    assert ("commit-graph", f"{head}\n".encode()) in inputs
+    assert all(head in args for args in calls[1:] if args[0] != "commit-graph")
 
 
 def test_gitlinks_are_neither_counted_nor_blamed(gitlink_repo):
@@ -356,6 +371,105 @@ def test_sha256_repositories_report_like_sha1_ones(tmp_path, monkeypatch, build)
         assert len(report.pop("head_commit")) == id_length
         reports[object_format] = report
     assert reports["sha256"] == reports["sha1"]
+
+
+def _files(directory) -> dict:
+    """Every path under ``directory``, with its size and mtime."""
+    return {
+        path.relative_to(directory): (path.lstat().st_size, path.lstat().st_mtime_ns)
+        for path in directory.rglob("*")
+    }
+
+
+def test_blame_compare_writes_neither_the_repository_nor_a_lasting_temp_file(
+    tmp_path, monkeypatch, two_author_repo
+):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    bare = tmp_path / "bare.git"
+    two_author_repo.git("clone", "-q", "--bare", ".", str(bare))
+    for repo, git_dir in (
+        (two_author_repo.path, two_author_repo.path / ".git"),
+        (bare, bare),
+    ):
+        before = _files(git_dir)
+        report = run(AnalysisConfig(repo_path=str(repo), blame_compare=True))
+        assert report.blame_agreement.blame_failures == 0
+        assert _files(git_dir) == before
+        assert not list(git_dir.glob("objects/info/commit-graph*"))
+        assert not list(temp.iterdir())
+
+    def failing_blame_rank(*args, **kwargs):
+        raise RuntimeError("blame failed oddly")
+
+    monkeypatch.setattr(authorship, "blame_rank", failing_blame_rank)
+    with pytest.raises(RuntimeError, match="oddly"):
+        run(AnalysisConfig(repo_path=str(bare), blame_compare=True))
+    assert not list(temp.iterdir())
+
+
+def test_blames_read_a_temporary_changed_path_graph_after_the_users_alternates(
+    tmp_path, monkeypatch, two_author_repo
+):
+    theirs = tmp_path / "their-objects"
+    (theirs / "info").mkdir(parents=True)
+    monkeypatch.setenv("GIT_ALTERNATE_OBJECT_DIRECTORIES", str(theirs))
+    real_blame_rank = authorship.blame_rank
+    graphs = set()
+
+    def spy(*args, env, **kwargs):
+        first, ours = env["GIT_ALTERNATE_OBJECT_DIRECTORIES"].split(os.pathsep)
+        assert first == str(theirs)
+        graphs.add(ours)
+        assert (Path(ours) / "info" / "commit-graph").is_file()
+        return real_blame_rank(*args, env=env, **kwargs)
+
+    monkeypatch.setattr(authorship, "blame_rank", spy)
+    config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
+    assert run(config).blame_agreement.blame_failures == 0
+    (graph,) = graphs
+    assert not Path(graph).exists()
+
+
+def test_a_repositorys_own_commit_graph_changes_no_byte(tmp_path, capfd):
+    repo = rf.commit_graph_repo(tmp_path / "graph")
+    graph = repo.path / ".git" / "objects" / "info" / "commit-graph"
+    args = [str(repo.path), "--format", "json", "--blame-compare"]
+    assert main(args) == 0
+    with_graph = capfd.readouterr()
+    assert json.loads(with_graph.out)["blame_agreement"]["blame_failures"] == 0
+    graph.unlink()
+    assert main(args) == 0
+    assert capfd.readouterr() == with_graph
+
+
+# A git that fails "commit-graph" and runs the real one for anything else.
+_GRAPHLESS_GIT = """#!{python}
+import os, sys
+if "commit-graph" in sys.argv:
+    open({marker!r}, "a").close()
+    sys.exit(1)
+os.execv({git!r}, [{git!r}, *sys.argv[1:]])
+"""
+
+
+@pytest.mark.parametrize("build", _SCRIPTED, ids=lambda build: build.__name__)
+def test_a_failed_graph_write_leaves_the_report_as_it_is(tmp_path, monkeypatch, build):
+    repo = build(tmp_path / "repo").path
+    expected = _json_report(repo, blame_compare=True)
+    script = tmp_path / "bin" / "git"
+    script.parent.mkdir()
+    marker = tmp_path / "graph-write-failed"
+    git = shutil.which("git")
+    script.write_text(
+        _GRAPHLESS_GIT.format(python=sys.executable, git=git, marker=str(marker))
+    )
+    script.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{script.parent}{os.pathsep}{os.environ['PATH']}")
+    assert _json_report(repo, blame_compare=True) == expected
+    assert marker.exists()
+    assert expected["blame_agreement"]["blame_failures"] == 0
 
 
 def test_branch_selection(branched_repo):
