@@ -72,7 +72,9 @@ class FileTrace:
 # commit's additions, prints no signature verdicts and names authors in
 # UTF-8; rename detection is never skipped for a large change; and blame
 # reads no mailmap, since log's %an never does (a bare repository would
-# otherwise read HEAD:.mailmap).
+# otherwise read HEAD:.mailmap). The last two change only speed: git reads
+# a commit-graph and its changed-path Bloom filters, such as the one that
+# --blame-compare writes, even where the config turns them off.
 _PINNED_CONFIG = (
     "-c", "log.showRoot=true",
     "-c", "log.showSignature=false",
@@ -80,6 +82,8 @@ _PINNED_CONFIG = (
     "-c", "diff.renameLimit=0",
     "-c", "mailmap.file=",
     "-c", "mailmap.blob=",
+    "-c", "core.commitGraph=true",
+    "-c", "commitGraph.readChangedPaths=true",
 )
 
 # How much of git's output one read may return.

@@ -12,7 +12,7 @@ import os
 import random
 import tempfile
 from collections import Counter
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -83,45 +83,57 @@ def _blame_workers() -> int:
     return min(4, cpus)
 
 
+def _alternate(path: str) -> str:
+    """``path`` as one entry of ``GIT_ALTERNATE_OBJECT_DIRECTORIES``, quoted
+    as git unquotes it when it would otherwise be split at a separator."""
+    if os.pathsep not in path:
+        return path
+    return '"' + path.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 @contextmanager
 def _changed_path_graph(
     revision: history.Revision,
 ) -> Iterator[dict[str, str] | None]:
     """An environment in which git reads a commit-graph of the resolved
     commit's history, with changed-path Bloom filters, or ``None`` when git
-    could not write one.
+    wrote none.
 
     With the filters, ``git blame`` skips the tree lookup at every commit
     that did not touch the blamed path; they have no false negatives, so
     blame prints the same bytes. The graph is written into a temporary
-    object directory, never into the repository, and removed on exit. git
-    writes a graph only for an object directory it reads, so that directory
-    is appended to ``GIT_ALTERNATE_OBJECT_DIRECTORIES`` for the write too.
-    A repository's own commit-graph is read first, and this one then goes
-    unused.
+    directory, never into the repository, and removed on exit. git reads
+    the commit-graph of the first object directory that has one, so the
+    temporary directory is ``GIT_OBJECT_DIRECTORY``, ahead of the
+    repository's own graph, and the repository's objects are the first
+    alternate, ahead of any alternates already set. In a shallow clone git
+    writes no graph and exits 0; under grafts or replace refs it reads none.
     """
+    git_dir = revision.git_dir
     with tempfile.TemporaryDirectory() as tmp:
-        objects = os.path.abspath(tmp)  # git runs in another directory
-        env: dict[str, str] | None = dict(os.environ)
-        alternates = env.get("GIT_ALTERNATE_OBJECT_DIRECTORIES")
-        env["GIT_ALTERNATE_OBJECT_DIRECTORIES"] = (
-            f"{alternates}{os.pathsep}{objects}" if alternates else objects
-        )
-        args = [
-            "commit-graph",
-            "write",
-            "--stdin-commits",
-            "--changed-paths",
-            "--no-progress",
-            f"--object-dir={objects}",
-        ]
-        try:
+        tmp = os.path.abspath(tmp)  # git runs in another directory
+        env = dict(os.environ)
+        with suppress(GitInvocationFailed):  # then blame as without the graph
+            objects = history.run_git(git_dir, ["rev-parse", "--git-path", "objects"])
+            alternates = [_alternate(os.path.join(git_dir, objects[:-1]))]
+            if env.get("GIT_ALTERNATE_OBJECT_DIRECTORIES"):
+                alternates.append(env["GIT_ALTERNATE_OBJECT_DIRECTORIES"])
+            env["GIT_OBJECT_DIRECTORY"] = tmp
+            env["GIT_ALTERNATE_OBJECT_DIRECTORIES"] = os.pathsep.join(alternates)
+            args = [
+                "commit-graph",
+                "write",
+                "--stdin-commits",
+                "--changed-paths",
+                "--max-new-filters=-1",
+                "--no-progress",
+                f"--object-dir={tmp}",
+            ]
             history.run_git(
-                revision.git_dir, args, env=env, input=f"{revision.commit}\n".encode()
+                git_dir, args, env=env, input=f"{revision.commit}\n".encode()
             )
-        except GitInvocationFailed:
-            env = None  # blame as without the graph
-        yield env
+        written = os.path.isfile(os.path.join(tmp, "info", "commit-graph"))
+        yield env if written else None
 
 
 def _blame_agreement(

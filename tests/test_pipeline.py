@@ -17,6 +17,7 @@ from truckfactor import authorship, history, pipeline
 from truckfactor.authorship import AuthorFileMap
 from truckfactor.cli import main
 from truckfactor.errors import BlameFailed
+from truckfactor.filters import FilterRules
 from truckfactor.history import Revision
 from truckfactor.identity import DeveloperId, RawUser
 from truckfactor.pipeline import AnalysisConfig, run
@@ -229,10 +230,10 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
     assert report.head_commit == head
     assert report.totals == {"developers": 2, "authors": 2, "files": 4, "commits": 7}
     subcommands = [args[0] for args in calls]
-    expected = ["rev-parse", "ls-tree", "log", "commit-graph"] + ["blame"] * 4
-    assert subcommands == expected
+    graph = ["rev-parse", "commit-graph"]  # find the objects, write the graph
+    assert subcommands == ["rev-parse", "ls-tree", "log", *graph] + ["blame"] * 4
     assert ("commit-graph", f"{head}\n".encode()) in inputs
-    assert all(head in args for args in calls[1:] if args[0] != "commit-graph")
+    assert all(head in args for args in calls[1:3] + calls[5:])
 
 
 def test_gitlinks_are_neither_counted_nor_blamed(gitlink_repo):
@@ -409,20 +410,20 @@ def test_blame_compare_writes_neither_the_repository_nor_a_lasting_temp_file(
     assert not list(temp.iterdir())
 
 
-def test_blames_read_a_temporary_changed_path_graph_after_the_users_alternates(
+def test_blames_read_a_temporary_object_directory_ahead_of_the_repositorys(
     tmp_path, monkeypatch, two_author_repo
 ):
     theirs = tmp_path / "their-objects"
     (theirs / "info").mkdir(parents=True)
     monkeypatch.setenv("GIT_ALTERNATE_OBJECT_DIRECTORIES", str(theirs))
+    objects = two_author_repo.path / ".git" / "objects"
     real_blame_rank = authorship.blame_rank
     graphs = set()
 
     def spy(*args, env, **kwargs):
-        first, ours = env["GIT_ALTERNATE_OBJECT_DIRECTORIES"].split(os.pathsep)
-        assert first == str(theirs)
-        graphs.add(ours)
-        assert (Path(ours) / "info" / "commit-graph").is_file()
+        alternates = env["GIT_ALTERNATE_OBJECT_DIRECTORIES"].split(os.pathsep)
+        assert alternates == [str(objects), str(theirs)]
+        graphs.add(env["GIT_OBJECT_DIRECTORY"])
         return real_blame_rank(*args, env=env, **kwargs)
 
     monkeypatch.setattr(authorship, "blame_rank", spy)
@@ -430,6 +431,74 @@ def test_blames_read_a_temporary_changed_path_graph_after_the_users_alternates(
     assert run(config).blame_agreement.blame_failures == 0
     (graph,) = graphs
     assert not Path(graph).exists()
+
+
+def _bloom_answers(trace: Path) -> list[int]:
+    """How many Bloom filter queries each traced blame answered "no"."""
+    events = map(json.loads, trace.read_text().splitlines())
+    return [
+        int(event["value"])
+        for event in events
+        if (event.get("category"), event.get("key")) == ("blame", "bloom/response-no")
+    ]
+
+
+@pytest.mark.parametrize("config_off", [False, True], ids=["default", "config-off"])
+def test_blames_skip_commits_through_the_temporary_graph(
+    tmp_path, monkeypatch, config_off
+):
+    # The repository's own graph has no Bloom filters and would be read first.
+    repo = rf.commit_graph_repo(tmp_path / "graph")
+    if config_off:
+        repo.git("config", "core.commitGraph", "false")
+        repo.git("config", "commitGraph.readChangedPaths", "false")
+        repo.git("config", "commitGraph.maxNewFilters", "0")
+    trace = tmp_path / "trace2.json"
+    monkeypatch.setenv("GIT_TRACE2_EVENT", str(trace))
+    config = AnalysisConfig(repo_path=str(repo.path), blame_compare=True)
+    assert run(config).blame_agreement.blame_failures == 0
+    answers = _bloom_answers(trace)
+    assert len(answers) == 4  # one per blamed file
+    assert sum(answers) > 0
+
+
+def test_a_repository_under_a_path_holding_the_separator_gets_the_graph(
+    tmp_path, monkeypatch, two_author_repo
+):
+    odd = tmp_path / f"a{os.pathsep}b"
+    odd.mkdir()
+    two_author_repo.git("clone", "-q", ".", str(odd / "two"))
+    expected = _json_report(two_author_repo.path, blame_compare=True)
+    trace = tmp_path / "trace2.json"
+    monkeypatch.setenv("GIT_TRACE2_EVENT", str(trace))
+    report = _json_report(odd / "two", blame_compare=True)
+    assert report["blame_agreement"] == expected["blame_agreement"]
+    assert report["blame_agreement"]["blame_failures"] == 0
+    assert len(_bloom_answers(trace)) == 4  # every blame read the filters
+
+
+@pytest.mark.parametrize("kind", ["replace-ref", "shallow"])
+def test_blames_without_a_usable_graph_rank_as_before(tmp_path, two_author_repo, kind):
+    if kind == "replace-ref":  # git writes a graph but reads none
+        two_author_repo.git("replace", "HEAD~1", "HEAD~2")
+        repo = two_author_repo.path
+    else:  # git writes no graph
+        repo = tmp_path / "shallow"
+        url = two_author_repo.path.as_uri()
+        two_author_repo.git("clone", "-q", "--depth", "2", url, str(repo))
+    revision = history.resolve_revision(repo)
+    files = history.list_snapshot_files(
+        revision.git_dir, FilterRules(), branch=revision.commit
+    )
+    with pipeline._changed_path_graph(revision) as env:
+        assert (env is None) == (kind == "shallow")
+        for file in files:
+            ranking = authorship.blame_rank(
+                revision.git_dir, file, {}, branch=revision.commit, env=env
+            )
+            assert ranking == authorship.blame_rank(
+                revision.git_dir, file, {}, branch=revision.commit
+            )
 
 
 def test_a_repositorys_own_commit_graph_changes_no_byte(tmp_path, capfd):
