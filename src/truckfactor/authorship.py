@@ -6,10 +6,12 @@ else) — and the counts feed a degree-of-authorship score:
 
     doa = 3.293 + 1.098*FA + 0.164*DL - 0.321*ln(1 + AC)
 
-Scores are normalized against the file's maximum, so the top contributor
-always sits at 1.0, and a developer authors a file when the normalized
-score strictly exceeds ``k`` and the absolute score is at least ``m``.
-The defaults for ``k`` and ``m`` are the empirically calibrated values.
+:func:`score_trace` counts, scores and normalizes one file in one pass:
+each score is divided by the file's maximum, so the top contributor sits at
+1.0 whenever that maximum is positive. A developer authors a file when the
+normalized score strictly exceeds ``k`` and the absolute score is at least
+``m``. The defaults for ``k`` and ``m`` are the empirically calibrated
+values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BlameFailed, GitInvocationFailed
 from .history import FileTrace, run_git
@@ -35,9 +37,9 @@ DOA_ACCEPTANCES_WEIGHT = 0.321
 _BLAME_HEADER = re.compile(r"([0-9a-f]{40,}) \d+ \d+(?: \d+)?")
 
 
-@dataclass
-class AuthorshipRecord:
-    """One developer's standing on one file."""
+class AuthorshipRecord(NamedTuple):
+    """One developer's standing on one file: the counts, the score and the
+    score over the file's maximum."""
 
     developer: DeveloperId
     file: str
@@ -45,7 +47,7 @@ class AuthorshipRecord:
     dl: int
     ac: int
     doa_abs: float
-    doa_norm: float = 0.0
+    doa_norm: float
 
 
 @dataclass
@@ -71,54 +73,45 @@ def doa(fa: int, dl: int, ac: int) -> float:
     )
 
 
-def accumulate(
+def score_trace(
     trace: FileTrace, alias_map: Mapping[RawUser, DeveloperId]
-) -> list[tuple[DeveloperId, int, int, int]]:
-    """Fold a trace into per-developer (FA, DL, AC) counts.
+) -> list[AuthorshipRecord]:
+    """Score one file's trace: one record per developer who changed the
+    file, sorted by canonical name, with ties in the order their users first
+    appear in ``trace.deliveries``.
 
     Every change in the trace is one delivery for its developer, and one
     acceptance for everyone else who touched the file. First authorship
     goes to the file's creator; an incomplete trace (the addition predates
-    recorded history) assigns FA to nobody.
+    recorded history) assigns FA to nobody. Each score is normalized
+    against the file's maximum; a non-positive maximum leaves nothing
+    meaningful to scale against, so every normalized score is then 0.0.
     """
     deliveries: dict[DeveloperId, int] = defaultdict(int)
     for user, count in trace.deliveries.items():
         deliveries[alias_map[user]] += count
     creator = alias_map[trace.creator] if trace.creator is not None else None
     total = sum(deliveries.values())
-    return [
+    counts = [
         (dev, int(dev == creator), dl, total - dl)
         for dev, dl in sorted(
             deliveries.items(), key=lambda kv: kv[0].canonical_name
         )
     ]
-
-
-def normalize(file_records: list[AuthorshipRecord]) -> list[AuthorshipRecord]:
-    """Set each record's normalized score: doa_abs over the file's maximum.
-
-    A non-positive maximum leaves nothing meaningful to scale against, so
-    every normalized score becomes 0.0 and the file ends up authorless.
-    """
-    if not file_records:
-        raise ValueError("normalize needs at least one record")
-    top = max(record.doa_abs for record in file_records)
-    for record in file_records:
-        record.doa_norm = record.doa_abs / top if top > 0.0 else 0.0
-    return file_records
-
-
-def score_trace(
-    trace: FileTrace, alias_map: Mapping[RawUser, DeveloperId]
-) -> list[AuthorshipRecord]:
-    """Accumulate, score, and normalize one file's trace."""
-    records = [
-        AuthorshipRecord(dev, trace.current_path, fa, dl, ac, doa(fa, dl, ac))
-        for dev, fa, dl, ac in accumulate(trace, alias_map)
+    scores = [doa(fa, dl, ac) for _, fa, dl, ac in counts]
+    top = max(scores, default=0.0)
+    return [
+        AuthorshipRecord(
+            dev,
+            trace.current_path,
+            fa,
+            dl,
+            ac,
+            score,
+            score / top if top > 0.0 else 0.0,
+        )
+        for (dev, fa, dl, ac), score in zip(counts, scores)
     ]
-    if records:
-        normalize(records)
-    return records
 
 
 def select_authors(
@@ -129,8 +122,8 @@ def select_authors(
     A developer authors a file when doa_norm > k (strict) and doa_abs >= m
     (inclusive); the floor ``m`` keeps near-zero-signal files from gaining
     authors. Files whose best score is not positive get no authors at all,
-    because :func:`normalize` sets their normalized scores to 0.0 and ``k``
-    is not negative.
+    because :func:`score_trace` sets their normalized scores to 0.0 and
+    ``k`` is not negative.
     """
     entries: dict[DeveloperId, set[str]] = defaultdict(set)
     for record in records:
@@ -195,13 +188,3 @@ def blame_rank(
         counts[developer] += lines
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].canonical_name))
 
-
-def author_ratio(
-    developers: Iterable[DeveloperId], author_map: AuthorFileMap
-) -> float:
-    """Fraction of developers who author at least one file; 0.0 when there
-    are no developers."""
-    population = set(developers)
-    if not population:
-        return 0.0
-    return len(set(author_map.entries)) / len(population)

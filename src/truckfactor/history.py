@@ -61,6 +61,7 @@ class FileTrace:
     creator: RawUser | None = None
     creating_commit: str | None = None
 
+    # Read only by perfbench/tracer.py; see ROADMAP item 5.
     @property
     def complete(self) -> bool:
         """True when the trace reaches back to the file's original addition."""
@@ -162,7 +163,8 @@ def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revisi
     makes every path repository-relative, even when ``repo_path`` is a
     subdirectory of the work tree. Raises :class:`NotARepository`,
     :class:`EmptyRepository` (``HEAD`` has no commit) or
-    :class:`GitInvocationFailed` (the revision does not name a commit).
+    :class:`GitInvocationFailed` (the revision does not name a commit, or
+    git cannot be started).
     """
     if not Path(repo_path).is_dir():
         raise NotARepository(f"{repo_path}: no such directory")
@@ -180,6 +182,8 @@ def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revisi
             ],
         )
     except GitInvocationFailed as exc:
+        if isinstance(exc.__cause__, OSError):
+            raise  # git itself could not be started; its error names why
         # --quiet keeps an unknown revision silent, so anything on stderr
         # means git could not open the repository at all.
         if exc.stderr:
@@ -193,6 +197,7 @@ def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revisi
     return Revision(commit=commit, shallow=shallow == "true", git_dir=git_dir)
 
 
+# Kept only because perfbench/tracer.py wraps it; see ROADMAP item 5.
 def resolve_commit(repo_path: str | Path, branch: str | None = None) -> str:
     """The commit id the analyzed revision points at."""
     return resolve_revision(repo_path, branch).commit

@@ -8,6 +8,7 @@ finished estimate.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import tempfile
@@ -55,6 +56,8 @@ def _validate(config: AnalysisConfig) -> None:
         raise ValueError(f"unknown universe: {config.universe!r}")
     if not 0.0 < config.k <= 1.0:
         raise ValueError("k must be in (0, 1]")
+    if not math.isfinite(config.m):
+        raise ValueError("m must be a finite number")
     if not 0.0 < config.coverage < 1.0:
         raise ValueError("coverage must be in (0, 1)")
 
@@ -260,8 +263,7 @@ def run(config: AnalysisConfig) -> Report:
             revision, targets, author_map, alias_map, config.seed
         )
 
-    developers = set(alias_map.values())
-    ratio = authorship.author_ratio(developers, author_map)
+    developers = set(alias_map.values())  # resolve_aliases raises on none
     totals = {
         "developers": len(developers),
         "authors": len(author_map.entries),
@@ -287,7 +289,7 @@ def run(config: AnalysisConfig) -> Report:
             )
             for step in result.removed
         ],
-        author_ratio=ratio,
+        author_ratio=len(author_map.entries) / len(developers),
         totals=totals,
         migration=migration,
         blame_agreement=blame,

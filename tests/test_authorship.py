@@ -9,13 +9,9 @@ from hypothesis import strategies as st
 import repo_fixtures as rf
 from truckfactor import authorship
 from truckfactor.authorship import (
-    AuthorFileMap,
     AuthorshipRecord,
-    accumulate,
-    author_ratio,
     blame_rank,
     doa,
-    normalize,
     score_trace,
     select_authors,
 )
@@ -98,7 +94,11 @@ def test_doa_first_authorship_adds_its_weight(dl, ac):
     assert doa(1, dl, ac) - doa(0, dl, ac) == pytest.approx(1.098, abs=1e-12)
 
 
-# --- accumulate ------------------------------------------------------------
+# --- score_trace: accumulating counts ---------------------------------------
+
+
+def counts(records):
+    return [(r.developer, r.fa, r.dl, r.ac) for r in records]
 
 
 def test_accumulate_sole_contributor():
@@ -108,7 +108,9 @@ def test_accumulate_sole_contributor():
         ("Ann", ChangeKind.MODIFICATION),
         ("Ann", ChangeKind.MODIFICATION),
     )
-    assert accumulate(trace, alias_map) == [(dev("Ann"), 1, 3, 0)]
+    assert score_trace(trace, alias_map) == [
+        AuthorshipRecord(dev("Ann"), "f.py", 1, 3, 0, doa(1, 3, 0), 1.0)
+    ]
 
 
 def test_accumulate_splits_deliveries_and_acceptances():
@@ -118,9 +120,14 @@ def test_accumulate_splits_deliveries_and_acceptances():
         ("Yuri", ChangeKind.MODIFICATION),
         ("Yuri", ChangeKind.MODIFICATION),
     )
-    assert accumulate(trace, alias_map) == [
+    assert counts(score_trace(trace, alias_map)) == [
         (dev("Xena"), 1, 1, 2),
         (dev("Yuri"), 0, 2, 1),
+    ]
+    # Developers who share a label keep the order of trace.deliveries.
+    same_label = {user: DeveloperId("Bob", d.members) for user, d in alias_map.items()}
+    assert [r.developer for r in score_trace(trace, same_label)] == [
+        same_label[user] for user in trace.deliveries
     ]
 
 
@@ -130,7 +137,7 @@ def test_accumulate_counts_renames_as_changes():
         ("Xena", ChangeKind.ADDITION),
         ("Yuri", ChangeKind.RENAME),
     )
-    assert accumulate(trace, alias_map) == [
+    assert counts(score_trace(trace, alias_map)) == [
         (dev("Xena"), 1, 1, 1),
         (dev("Yuri"), 0, 1, 1),
     ]
@@ -142,14 +149,14 @@ def test_accumulate_incomplete_trace_assigns_no_first_authorship():
         ("Xena", ChangeKind.MODIFICATION),
         ("Yuri", ChangeKind.MODIFICATION),
     )
-    assert [(fa, dl, ac) for _, fa, dl, ac in accumulate(trace, alias_map)] == [
+    assert [(r.fa, r.dl, r.ac) for r in score_trace(trace, alias_map)] == [
         (0, 1, 1),
         (0, 1, 1),
     ]
 
 
 def test_accumulate_empty_trace():
-    assert accumulate(FileTrace("f.py"), {}) == []
+    assert score_trace(FileTrace("f.py"), {}) == []
 
 
 def test_accumulate_credits_the_addition_that_starts_the_trace():
@@ -162,7 +169,7 @@ def test_accumulate_credits_the_addition_that_starts_the_trace():
         ("Yuri", ChangeKind.ADDITION),
         ("Xena", ChangeKind.MODIFICATION),
     )
-    assert accumulate(trace, alias_map) == [
+    assert counts(score_trace(trace, alias_map)) == [
         (dev("Xena"), 0, 1, 1),
         (dev("Yuri"), 1, 1, 1),
     ]
@@ -183,41 +190,51 @@ def test_accumulate_conserves_change_counts(steps):
             for name, is_add in steps
         ],
     )
-    rows = accumulate(trace, alias_map)
+    rows = counts(score_trace(trace, alias_map))
     total = sum(trace.deliveries.values())
     assert sum(dl for _, _, dl, _ in rows) == total
     assert all(dl + ac == total for _, _, dl, ac in rows)
     assert sum(fa for _, fa, _, _ in rows) <= 1
 
 
-# --- normalize and select_authors -------------------------------------------
+# --- score_trace: normalizing, and select_authors ----------------------------
 
 
-def record(name, file, doa_abs, fa=0, dl=1, ac=0):
-    return AuthorshipRecord(dev(name), file, fa, dl, ac, doa_abs)
+def crowded_trace(path):
+    """A trace of 50,000 users with one change each. Past about 47,600 such
+    users, everyone's absolute score is negative."""
+    users = [RawUser(f"u{i}", f"u{i}@example.com") for i in range(50_000)]
+    alias_map = {user: DeveloperId(user.name, frozenset({user})) for user in users}
+    return FileTrace(path, dict.fromkeys(users, 1)), alias_map
 
 
 def test_normalize_scales_against_file_maximum():
-    records = [record("A", "f", 4.0), record("B", "f", 2.0)]
-    normalize(records)
-    assert [r.doa_norm for r in records] == [1.0, 0.5]
+    trace, alias_map = make_trace(
+        "f.py",
+        ("Xena", ChangeKind.ADDITION),
+        ("Yuri", ChangeKind.MODIFICATION),
+        ("Yuri", ChangeKind.MODIFICATION),
+    )
+    xena, yuri = score_trace(trace, alias_map)
+    assert (xena.doa_abs, yuri.doa_abs) == (doa(1, 1, 2), doa(0, 2, 1))
+    assert (xena.doa_norm, yuri.doa_norm) == (1.0, yuri.doa_abs / xena.doa_abs)
 
 
 def test_normalize_gives_tied_top_scores_one():
-    records = [record("A", "f", 3.5), record("B", "f", 3.5)]
-    normalize(records)
-    assert [r.doa_norm for r in records] == [1.0, 1.0]
+    trace, alias_map = make_trace(
+        "f.py",
+        ("Xena", ChangeKind.MODIFICATION),
+        ("Yuri", ChangeKind.MODIFICATION),
+    )
+    assert [r.doa_norm for r in score_trace(trace, alias_map)] == [1.0, 1.0]
 
 
 def test_normalize_zeroes_out_non_positive_maxima():
-    records = [record("A", "f", 0.0), record("B", "f", -1.0)]
-    normalize(records)
-    assert [r.doa_norm for r in records] == [0.0, 0.0]
-
-
-def test_normalize_rejects_empty_input():
-    with pytest.raises(ValueError):
-        normalize([])
+    records = score_trace(*crowded_trace("f.py"))
+    assert len(records) == 50_000
+    assert {r.doa_abs for r in records} == {doa(0, 1, 49_999)}
+    assert doa(0, 1, 49_999) < 0.0
+    assert {r.doa_norm for r in records} == {0.0}
 
 
 def test_select_authors_applies_both_thresholds():
@@ -240,36 +257,37 @@ def test_select_authors_applies_both_thresholds():
 
 
 def test_select_authors_normalized_top_still_needs_absolute_floor():
-    records = [record("A", "f", 3.0)]
-    normalize(records)
-    assert records[0].doa_norm == 1.0
-    author_map = select_authors(records)
-    assert author_map.entries == {}
+    # Two tied changes and no known creator: both score ~3.23, below m.
+    trace, alias_map = make_trace(
+        "f.py",
+        ("Xena", ChangeKind.MODIFICATION),
+        ("Yuri", ChangeKind.MODIFICATION),
+    )
+    records = score_trace(trace, alias_map)
+    assert [r.doa_norm for r in records] == [1.0, 1.0]
+    assert select_authors(records).entries == {}
+    assert select_authors(records, m=3.2).entries.keys() == {dev("Xena"), dev("Yuri")}
 
 
 def test_select_authors_skips_files_without_positive_scores():
-    records = [record("A", "f", 0.0)]
-    normalize(records)
-    assert select_authors(records).entries == {}
+    records = score_trace(*crowded_trace("f.py"))
+    # Even a floor that every score clears leaves the file authorless.
+    assert select_authors(records, m=-1.0).entries == {}
 
 
 @given(st.data())
 def test_select_authors_shrinks_as_k_grows(data):
-    files = [f"f{i}" for i in range(4)]
-    names = ["A", "B", "C"]
+    users = [RawUser(name, f"{name}@example.com") for name in "ABC"]
+    alias_map = {user: DeveloperId(user.name, frozenset({user})) for user in users}
     records = []
-    for file in files:
-        scores = data.draw(
-            st.lists(
-                st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
-                min_size=1,
-                max_size=3,
-            ),
-            label=f"scores for {file}",
+    for file in [f"f{i}" for i in range(4)]:
+        changes = data.draw(
+            st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3),
+            label=f"changes to {file}",
         )
-        for name, score in zip(names, scores):
-            records.append(record(name, file, score))
-        normalize([r for r in records if r.file == file])
+        creator = data.draw(st.sampled_from([None, users[0]]), label="creator")
+        trace = FileTrace(file, dict(zip(users, changes)), creator)
+        records.extend(score_trace(trace, alias_map))
     k1 = data.draw(st.floats(min_value=0.05, max_value=0.9), label="k1")
     k2 = data.draw(st.floats(min_value=k1, max_value=0.999), label="k2")
     lax = select_authors(records, k=k1)
@@ -371,18 +389,3 @@ def test_blame_rank_tolerates_users_missing_from_the_alias_map(blame_overwrite_r
     ranking = blame_rank(blame_overwrite_repo.path, "data.txt", {})
     assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 30), ("Bob", 10)]
 
-
-# --- author_ratio -------------------------------------------------------------
-
-
-def test_author_ratio_examples():
-    population = {dev(n) for n in "ABCD"}
-    assert author_ratio(population, AuthorFileMap({dev("A"): {"f"}})) == 0.25
-    assert author_ratio({dev("A")}, AuthorFileMap({dev("A"): {"f"}})) == 1.0
-    many = {dev(f"d{i}") for i in range(248)}
-    six = AuthorFileMap({dev(f"d{i}"): {"f"} for i in range(6)})
-    assert author_ratio(many, six) == pytest.approx(6 / 248)
-
-
-def test_author_ratio_is_zero_without_developers():
-    assert author_ratio(set(), AuthorFileMap({})) == 0.0

@@ -68,6 +68,12 @@ def test_invalid_threshold_is_an_error(single_author_repo, capfd):
     code = main([str(single_author_repo.path), "--k", "1.5"])
     assert code == 2
     assert "k must be" in capfd.readouterr().err
+    for m in ("nan", "inf"):
+        code = main([str(single_author_repo.path), "--m", m, "--format", "json"])
+        captured = capfd.readouterr()
+        assert code == 2
+        assert "m must be" in captured.err
+        assert captured.out == ""
 
 
 def test_unknown_branch_is_an_error(single_author_repo, capfd):

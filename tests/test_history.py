@@ -218,6 +218,27 @@ def test_log_failures_keep_their_specific_errors(tmp_path, single_author_repo):
         list(read_log(single_author_repo.path, "no-such-branch"))
 
 
+def test_a_git_that_cannot_start_is_named_as_such(
+    tmp_path, monkeypatch, single_author_repo
+):
+    no_git = tmp_path / "no-git"
+    no_git.mkdir()
+    monkeypatch.setenv("PATH", str(no_git))
+    repo = single_author_repo.path
+    calls = [
+        lambda: resolve_revision(repo),
+        lambda: list(read_log(repo)),
+        lambda: run(AnalysisConfig(repo_path=str(repo))),
+    ]
+    for call in calls:
+        with pytest.raises(GitInvocationFailed) as failure:
+            call()
+        assert isinstance(failure.value.__cause__, FileNotFoundError)
+        assert str(failure.value.__cause__) in str(failure.value)
+    with pytest.raises(NotARepository):
+        resolve_revision(tmp_path / "missing")
+
+
 def test_a_log_that_fails_partway_raises_with_gits_stderr(tmp_path):
     # Telling the rename from a delete and an add needs both blobs; with
     # the old one gone, git fails after printing the newer commits.

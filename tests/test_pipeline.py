@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import repo_fixtures as rf
+import truckfactor
 from truckfactor import authorship, history, pipeline
 from truckfactor.authorship import AuthorFileMap
 from truckfactor.cli import main
@@ -73,6 +76,7 @@ def test_unreachable_thresholds_flag_low_coverage(two_author_repo):
     report = run(AnalysisConfig(repo_path=str(two_author_repo.path), m=5.0))
     assert report.truck_factor == 0
     assert report.totals["authors"] == 0
+    assert report.author_ratio == 0.0
     assert report.low_initial_coverage
     assert any("coverage" in w for w in report.warnings)
 
@@ -139,6 +143,24 @@ def test_alias_overrides_apply(tmp_path, aliased_repo):
     )
     assert report.totals["developers"] == 1
     assert report.removed[0].developer == "Robert"
+
+
+def test_two_developers_sharing_a_label_stay_apart(tmp_path):
+    # The README's case: an override names Alice's email "Bob", next to a
+    # committer Bob. Neither joins the other, and each authors two files.
+    builder = rf.RepoBuilder(tmp_path / "labels")
+    for i in (1, 2):
+        builder.commit_file(f"a{i}.py", f"a{i}\n", f"add a{i}", ("Alice", "alice@x"))
+        builder.commit_file(f"b{i}.py", f"b{i}\n", f"add b{i}", ("Bob", "bob@y"))
+    rules = tmp_path / "aliases.txt"
+    rules.write_text("alice@x => Bob\n", encoding="utf-8")
+    report = run(AnalysisConfig(repo_path=str(builder.path), alias_file=str(rules)))
+    assert report.totals["developers"] == 2
+    assert [(r.developer, r.authored_files) for r in report.removed] == [
+        ("Bob", 2),
+        ("Bob", 2),
+    ]
+    assert [r.coverage_after for r in report.removed] == [0.5, 0.0]
 
 
 def test_blame_comparison_on_single_author_repo(single_author_repo):
@@ -564,6 +586,15 @@ def test_extra_ignore_and_pattern_files(tmp_path, vendored_repo):
     assert report.totals["files"] == 0
 
 
+def test_package_exports_what_the_readme_lists():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    paragraphs = readme.read_text(encoding="utf-8").split("\n\n")
+    (exports,) = [p for p in paragraphs if p.startswith("The package exports ")]
+    listed = re.findall(r"`(\w+)`", exports)
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(truckfactor.__all__)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         run(AnalysisConfig(repo_path="x", universe="everything"))
@@ -571,3 +602,6 @@ def test_config_validation():
         run(AnalysisConfig(repo_path="x", k=1.5))
     with pytest.raises(ValueError):
         run(AnalysisConfig(repo_path="x", coverage=0.0))
+    for m in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="m must be"):
+            run(AnalysisConfig(repo_path="x", m=m))
