@@ -8,10 +8,11 @@ else) — and the counts feed a degree-of-authorship score:
 
 :func:`score_trace` counts, scores and normalizes one file in one pass:
 each score is divided by the file's maximum, so the top contributor sits at
-1.0 whenever that maximum is positive. A developer authors a file when the
-normalized score strictly exceeds ``k`` and the absolute score is at least
-``m``. The defaults for ``k`` and ``m`` are the empirically calibrated
-values.
+1.0 whenever that maximum is positive. Files repeat few distinct counts, so
+one run looks every score up in one :class:`DoaTable`. A developer authors
+a file when the normalized score strictly exceeds ``k`` and the absolute
+score is at least ``m``. The defaults for ``k`` and ``m`` are the
+empirically calibrated values.
 """
 
 from __future__ import annotations
@@ -73,12 +74,26 @@ def doa(fa: int, dl: int, ac: int) -> float:
     )
 
 
+class DoaTable(dict[tuple[int, int, int], float]):
+    """:func:`doa` of each ``(fa, dl, ac)`` key, computed at its first lookup
+    and kept. One run's files share few distinct keys, so a table that
+    lives for the run computes each score once; the scores are the same
+    floats :func:`doa` returns."""
+
+    def __missing__(self, key: tuple[int, int, int]) -> float:
+        score = self[key] = doa(*key)
+        return score
+
+
 def score_trace(
-    trace: FileTrace, alias_map: Mapping[RawUser, DeveloperId]
+    trace: FileTrace,
+    alias_map: Mapping[RawUser, DeveloperId],
+    scores: DoaTable | None = None,
 ) -> list[AuthorshipRecord]:
     """Score one file's trace: one record per developer who changed the
     file, sorted by canonical name, with ties in the order their users first
-    appear in ``trace.deliveries``.
+    appear in ``trace.deliveries``. Each score is looked up in ``scores``,
+    a fresh :class:`DoaTable` when none is given.
 
     Every change in the trace is one delivery for its developer, and one
     acceptance for everyone else who touched the file. First authorship
@@ -92,25 +107,25 @@ def score_trace(
         deliveries[alias_map[user]] += count
     creator = alias_map[trace.creator] if trace.creator is not None else None
     total = sum(deliveries.values())
+    if scores is None:
+        scores = DoaTable()
     counts = [
-        (dev, int(dev == creator), dl, total - dl)
+        (dev, (int(dev == creator), dl, total - dl))
         for dev, dl in sorted(
             deliveries.items(), key=lambda kv: kv[0].canonical_name
         )
     ]
-    scores = [doa(fa, dl, ac) for _, fa, dl, ac in counts]
-    top = max(scores, default=0.0)
+    doas = [scores[key] for _, key in counts]
+    top = max(doas, default=0.0)
     return [
         AuthorshipRecord(
             dev,
             trace.current_path,
-            fa,
-            dl,
-            ac,
+            *key,
             score,
             score / top if top > 0.0 else 0.0,
         )
-        for (dev, fa, dl, ac), score in zip(counts, scores)
+        for (dev, key), score in zip(counts, doas)
     ]
 
 

@@ -9,6 +9,11 @@ class NotARepository(TruckFactorError):
     """The given path is not inside a Git repository."""
 
 
+class PartialClone(TruckFactorError):
+    """The repository is a partial clone that lacks objects git needs, and
+    fetching them is not allowed."""
+
+
 class EmptyRepository(TruckFactorError):
     """The repository exists but has no commits to analyze."""
 

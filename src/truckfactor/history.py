@@ -1,26 +1,51 @@
 """Git history extraction: snapshot listing, the commit log, file traces.
 
 All repository access goes through the ``git`` executable; nothing here
-mutates the repository. Merge commits are suppressed so every change is
-counted once, on the branch where it was made, and renames are detected so
-a file's history survives being moved.
+mutates the repository, and no git fetches: a partial clone that lacks
+objects git needs raises :class:`PartialClone`. Merge commits are
+suppressed so every change is counted once, on the branch where it was
+made, and renames are detected so a file's history survives being moved.
+:func:`read_log` starts ``git log`` as soon as it is called, so git can
+compute its diffs while the caller lists the snapshot.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import tempfile
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import (
+    IO,
+    Generator,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    cast,
+)
 
-from .errors import EmptyRepository, GitInvocationFailed, NotARepository
+from .errors import (
+    EmptyRepository,
+    GitInvocationFailed,
+    NotARepository,
+    PartialClone,
+    TruckFactorError,
+)
 from .filters import FilterRules
 from .identity import RawUser
 from .report import MigrationSummary
+
+try:
+    import fcntl
+except ImportError:  # not a POSIX system
+    fcntl = None  # type: ignore[assignment]
 
 
 class ChangeKind(Enum):
@@ -87,8 +112,19 @@ _PINNED_CONFIG = (
     "-c", "commitGraph.readChangedPaths=true",
 )
 
+# Set in every git's environment. A partial clone then fails on a missing
+# object instead of fetching it from its promisor remote. And git fills its
+# stdout buffer before writing it, where git log on a pipe would otherwise
+# write and wake its reader once per commit.
+_GIT_ENV = {"GIT_NO_LAZY_FETCH": "1", "GIT_FLUSH": "0"}
+
 # How much of git's output one read may return.
 _CHUNK_BYTES = 1 << 16
+
+# The size asked for git log's stdout pipe: with Linux's default 64 KiB,
+# git blocks within milliseconds while the snapshot is still being listed.
+# 1 MiB is Linux's default limit for an unprivileged process (pipe-max-size).
+_LOG_PIPE_BYTES = 1 << 20
 
 
 def start_git(
@@ -101,18 +137,36 @@ def start_git(
     """Start one git command in ``repo_path``, with the pinned config, its
     stdout a pipe and its stderr going to ``stderr``. ``env`` replaces this
     process's environment when given, and ``stdin`` is passed to
-    :class:`subprocess.Popen` as it is."""
+    :class:`subprocess.Popen` as it is. Either environment gets
+    ``GIT_NO_LAZY_FETCH=1``, so git never fetches a missing object, and
+    ``GIT_FLUSH=0``."""
     try:
         return subprocess.Popen(
             ["git", *_PINNED_CONFIG, *args],
             cwd=str(repo_path),
-            env=env,
+            env={**(os.environ if env is None else env), **_GIT_ENV},
             stdin=stdin,
             stdout=subprocess.PIPE,
             stderr=stderr,
         )
     except OSError as exc:
         raise GitInvocationFailed(" ".join(["git", *args]), str(exc)) from exc
+
+
+def _failure(
+    repo_path: str | Path, args: Sequence[str], stderr: str
+) -> TruckFactorError:
+    """The error for a git command that exited non-zero with ``stderr``:
+    :class:`PartialClone` when git needed an object it was not allowed to
+    fetch, :class:`GitInvocationFailed` otherwise."""
+    if "lazy fetching disabled" not in stderr:
+        return GitInvocationFailed(" ".join(["git", *args]), stderr)
+    reason = stderr.splitlines()[-1]
+    return PartialClone(
+        f"{repo_path}: a partial clone lacks objects that git needs ({reason}); "
+        "analyze a full clone, or fetch every object first with "
+        "'git fetch --refetch --no-filter'"
+    )
 
 
 def run_git(
@@ -125,7 +179,8 @@ def run_git(
     """Run one git command in ``repo_path`` and return its stdout.
 
     ``env``, when given, is git's whole environment, and ``input``, when
-    given, is written to git's stdin.
+    given, is written to git's stdin. Raises :class:`PartialClone` or
+    :class:`GitInvocationFailed` when git fails.
 
     Every output is decoded here, once, as UTF-8 with ``surrogateescape``:
     bytes that are not UTF-8 (a Latin-1 path or author name) become lone
@@ -138,8 +193,7 @@ def run_git(
     with start_git(repo_path, args, subprocess.PIPE, env, stdin) as proc:
         out, err = proc.communicate(input)
     if proc.returncode != 0:
-        stderr = err.decode("utf-8", "replace").strip()
-        raise GitInvocationFailed(" ".join(["git", *args]), stderr)
+        raise _failure(repo_path, args, err.decode("utf-8", "replace").strip())
     return out.decode("utf-8", "surrogateescape")
 
 
@@ -161,8 +215,9 @@ def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revisi
     id. Passing that id to every later git command keeps them on one commit
     even if the ref moves meanwhile, and running them in the git directory
     makes every path repository-relative, even when ``repo_path`` is a
-    subdirectory of the work tree. Raises :class:`NotARepository`,
-    :class:`EmptyRepository` (``HEAD`` has no commit) or
+    subdirectory of the work tree. Raises :class:`NotARepository`, with
+    git's first line of stderr, such as its refusal of a repository that
+    another user owns; :class:`EmptyRepository` (``HEAD`` has no commit); or
     :class:`GitInvocationFailed` (the revision does not name a commit, or
     git cannot be started).
     """
@@ -187,7 +242,10 @@ def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revisi
         # --quiet keeps an unknown revision silent, so anything on stderr
         # means git could not open the repository at all.
         if exc.stderr:
-            raise NotARepository(f"{repo_path}: not a Git repository") from exc
+            reason = exc.stderr.splitlines()[0]
+            raise NotARepository(
+                f"{repo_path}: not a Git repository: {reason}"
+            ) from exc
         if revision == "HEAD":
             raise EmptyRepository(f"{repo_path}: no commits on HEAD") from exc
         raise GitInvocationFailed(
@@ -298,19 +356,35 @@ def parse_log(chunks: Iterable[bytes]) -> Iterator[Commit]:
         yield Commit(commit_id, author, changes)
 
 
-def read_log(repo_path: str | Path, branch: str | None = None) -> Iterator[Commit]:
+def read_log(
+    repo_path: str | Path, branch: str | None = None
+) -> Generator[Commit, None, None]:
     """Every non-merge commit reachable from ``branch``, newest first, parsed
     while ``git log`` is still running.
 
     Merge commits are excluded, so every change is counted once, on the
     branch where it was made, and renames are detected, so a file's history
-    survives being moved. git's stderr goes to a temporary file, so it can
-    never fill up while its stdout is being read. Closing the generator
-    early, or an error while reading, stops git. When git fails, resolving
-    the revision again raises the specific error for a missing repository,
-    an empty one or an unknown revision; otherwise :class:`GitInvocationFailed`
-    carries git's stderr.
+    survives being moved. git starts when this function is called, not at
+    the first commit read, so it computes its diffs while the caller does
+    other work, such as listing the snapshot; its stdout pipe is widened
+    where the system allows, so git is not stopped by a full pipe meanwhile.
+    git's stderr goes to a temporary file, so it can never fill up while its
+    stdout is being read. Closing or dropping the generator, read or not,
+    or an error while reading, stops git. When git fails, resolving the
+    revision again raises the specific error for a missing repository, an
+    empty one or an unknown revision; otherwise :class:`PartialClone` or
+    :class:`GitInvocationFailed` carries git's stderr.
     """
+    log = _log(repo_path, branch)
+    next(log)  # runs up to the first yield, just after git started
+    return cast(Generator[Commit, None, None], log)
+
+
+def _log(
+    repo_path: str | Path, branch: str | None
+) -> Generator[Commit | None, None, None]:
+    """:func:`read_log`'s generator: ``None`` once git has started, then the
+    commits. Closing it at that first yield stops git too."""
     args = [
         "log",
         "-z",
@@ -336,6 +410,8 @@ def read_log(repo_path: str | Path, branch: str | None = None) -> Iterator[Commi
             at_end = True
 
         try:
+            _widen(stdout)
+            yield None
             yield from parse_log(chunks())
         except GitInvocationFailed:
             # git's output can end inside a record when git itself failed.
@@ -350,7 +426,18 @@ def read_log(repo_path: str | Path, branch: str | None = None) -> Iterator[Commi
             errors.seek(0)
             message = errors.read().decode("utf-8", "replace").strip()
             resolve_revision(repo_path, branch)
-            raise GitInvocationFailed(" ".join(["git", *args]), message)
+            raise _failure(repo_path, args, message)
+
+
+def _widen(pipe: IO[bytes]) -> None:
+    """Ask for ``pipe`` to hold :data:`_LOG_PIPE_BYTES`. Where the system has
+    no such request (it is Linux's), or refuses the size (above its
+    ``pipe-max-size``, or over the user's pipe quota), the pipe keeps the
+    size it has."""
+    set_size = getattr(fcntl, "F_SETPIPE_SZ", None)
+    if set_size is not None:
+        with suppress(OSError):
+            fcntl.fcntl(pipe, set_size, _LOG_PIPE_BYTES)
 
 
 def collect_history(

@@ -204,11 +204,12 @@ def run(config: AnalysisConfig) -> Report:
     _validate(config)
     rules = _build_rules(config)
     revision = history.resolve_revision(config.repo_path, config.branch)
-    targets = history.list_snapshot_files(
-        revision.git_dir, rules, branch=revision.commit
-    )
     commit_counts: Counter[identity.RawUser] = Counter()
+    # git log runs from here on, while the snapshot is listed and filtered.
     with closing(history.read_log(revision.git_dir, branch=revision.commit)) as log:
+        targets = history.list_snapshot_files(
+            revision.git_dir, rules, branch=revision.commit
+        )
         traces = history.trace_files(_counting(log, commit_counts), targets)
     users = commit_counts.keys()
     overrides = (
@@ -223,8 +224,11 @@ def run(config: AnalysisConfig) -> Report:
     )
 
     # Scored one file at a time, so no more than one file's records are held.
+    scores = authorship.DoaTable()
     records = (
-        record for trace in traces for record in authorship.score_trace(trace, alias_map)
+        record
+        for trace in traces
+        for record in authorship.score_trace(trace, alias_map, scores)
     )
     author_map = authorship.select_authors(records, k=config.k, m=config.m)
 

@@ -283,6 +283,18 @@ def shallow_clone(source: RepoBuilder, dest: Path) -> Path:
     return dest
 
 
+def blobless_clone(source: RepoBuilder, dest: Path) -> Path:
+    """A bare ``--filter=blob:none`` clone of ``source``: every commit and
+    tree, no file content. ``source`` is its promisor remote."""
+    source.git("config", "uploadpack.allowFilter", "true")
+    subprocess.run(
+        ["git", "clone", "-q", "--bare", "--filter=blob:none", f"file://{source.path}", str(dest)],
+        capture_output=True,
+        check=True,
+    )
+    return dest
+
+
 # --- planned histories, written with git fast-import -------------------------
 
 # File names that a line-based or quoted reading of git's output can mangle.

@@ -10,6 +10,7 @@ import repo_fixtures as rf
 from truckfactor import authorship
 from truckfactor.authorship import (
     AuthorshipRecord,
+    DoaTable,
     blame_rank,
     doa,
     score_trace,
@@ -85,6 +86,14 @@ def test_doa_monotonic_in_own_changes(fa, dl, ac):
 @given(fa_flag, counts, counts)
 def test_doa_monotonic_in_others_changes(fa, dl, ac):
     assert doa(fa, dl, ac + 1) < doa(fa, dl, ac)
+
+
+@given(fa_flag, counts, counts)
+def test_the_doa_table_holds_what_doa_returns(fa, dl, ac):
+    table = DoaTable()
+    assert table[fa, dl, ac] == doa(fa, dl, ac)
+    assert table[fa, dl, ac] == doa(fa, dl, ac)  # now read back, not computed
+    assert list(table) == [(fa, dl, ac)]
 
 
 @given(counts, counts)
@@ -195,6 +204,30 @@ def test_accumulate_conserves_change_counts(steps):
     assert sum(dl for _, _, dl, _ in rows) == total
     assert all(dl + ac == total for _, _, dl, ac in rows)
     assert sum(fa for _, fa, _, _ in rows) <= 1
+
+
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.sampled_from(["A", "B", "C"]), st.booleans()),
+            min_size=1,
+            max_size=12,
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_a_warm_table_scores_like_a_fresh_one(files):
+    table = DoaTable()  # shared by every file, as one run shares it
+    for steps in files:
+        trace, alias_map = make_trace(
+            "f.py",
+            *[
+                (name, ChangeKind.ADDITION if is_add else ChangeKind.MODIFICATION)
+                for name, is_add in steps
+            ],
+        )
+        assert score_trace(trace, alias_map, table) == score_trace(trace, alias_map)
 
 
 # --- score_trace: normalizing, and select_authors ----------------------------

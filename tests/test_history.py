@@ -1,4 +1,5 @@
 import ast
+import gc
 import os
 import shutil
 import sys
@@ -142,6 +143,19 @@ def test_resolve_revision_keeps_its_errors_apart(tmp_path, single_author_repo):
         resolve_revision(single_author_repo.path, "no-such-branch")
 
 
+def test_a_repository_of_another_owner_is_refused_with_gits_reason(
+    monkeypatch, single_author_repo
+):
+    # git then treats the repository as if another user owned it.
+    monkeypatch.setenv("GIT_TEST_ASSUME_DIFFERENT_OWNER", "1")
+    with pytest.raises(NotARepository) as failure:
+        resolve_revision(single_author_repo.path)
+    assert "not a Git repository: fatal: detected dubious ownership" in str(
+        failure.value
+    )
+    assert "\n" not in str(failure.value)
+
+
 def test_resolve_revision_detects_shallow_clones(tmp_path, two_author_repo):
     assert not resolve_revision(two_author_repo.path).shallow
     clone = rf.shallow_clone(two_author_repo, tmp_path / "shallow")
@@ -237,6 +251,17 @@ def test_a_git_that_cannot_start_is_named_as_such(
         assert str(failure.value.__cause__) in str(failure.value)
     with pytest.raises(NotARepository):
         resolve_revision(tmp_path / "missing")
+
+
+def test_every_git_runs_without_lazy_fetching_or_per_commit_flushes(
+    monkeypatch, single_author_repo
+):
+    monkeypatch.setenv("GIT_NO_LAZY_FETCH", "0")
+    monkeypatch.setenv("GIT_FLUSH", "1")
+    show = ["-c", "alias.show-env=!printenv GIT_NO_LAZY_FETCH GIT_FLUSH", "show-env"]
+    repo = single_author_repo.path
+    assert history.run_git(repo, show) == "1\n0\n"
+    assert history.run_git(repo, show, env={"PATH": os.environ["PATH"]}) == "1\n0\n"
 
 
 def test_a_log_that_fails_partway_raises_with_gits_stderr(tmp_path):
@@ -341,8 +366,70 @@ def test_a_consumer_that_raises_stops_git(fake_git, monkeypatch, single_author_r
     with pytest.raises(RuntimeError, match="consumer failed"):
         run(AnalysisConfig(repo_path=str(single_author_repo.path)))
     assert time.monotonic() - began < 10  # git was stopped, not waited for
-    assert "log" in started[-1].args
+    assert [proc for proc in started if "log" in proc.args]
     assert all(proc.poll() is not None for proc in started)
+
+
+def _log_process(started):
+    (log,) = [proc for proc in started if "log" in proc.args]
+    return log
+
+
+def test_a_listing_that_fails_stops_the_early_log(
+    fake_git, monkeypatch, single_author_repo
+):
+    started = fake_git(
+        f'sys.stdout.write("{_RECORD}"); sys.stdout.flush(); time.sleep(30)'
+    )
+
+    def failing_listing(*args, **kwargs):
+        assert _log_process(started).poll() is None  # git log already runs
+        raise RuntimeError("listing failed")
+
+    monkeypatch.setattr(history, "list_snapshot_files", failing_listing)
+    began = time.monotonic()
+    with pytest.raises(RuntimeError, match="listing failed"):
+        run(AnalysisConfig(repo_path=str(single_author_repo.path)))
+    assert time.monotonic() - began < 10  # git was stopped, not waited for
+    assert _log_process(started).poll() is not None
+
+
+def test_a_log_closed_unread_stops_git(fake_git, single_author_repo):
+    started = fake_git(
+        f'sys.stdout.write("{_RECORD}"); sys.stdout.flush(); time.sleep(30)'
+    )
+    log = read_log(single_author_repo.path)
+    assert _log_process(started).poll() is None  # started by the call alone
+    log.close()
+    assert _log_process(started).poll() is not None
+
+
+def test_a_log_dropped_unread_stops_git(fake_git, single_author_repo):
+    started = fake_git(
+        f'sys.stdout.write("{_RECORD}"); sys.stdout.flush(); time.sleep(30)'
+    )
+    read_log(single_author_repo.path)
+    gc.collect()  # in case a reference cycle still holds the generator
+    assert _log_process(started).poll() is not None
+
+
+@pytest.mark.skipif(
+    not hasattr(history.fcntl, "F_SETPIPE_SZ"), reason="pipes cannot be resized here"
+)
+def test_a_pipe_that_cannot_be_widened_reads_the_same_log(
+    monkeypatch, two_author_repo
+):
+    commits = list(read_log(two_author_repo.path))
+    refused = []
+
+    def refuse(*args):
+        refused.append(args)
+        raise PermissionError("pipe quota reached")
+
+    monkeypatch.setattr(history.fcntl, "fcntl", refuse)
+    assert list(read_log(two_author_repo.path)) == commits
+    assert len(commits) == 7
+    assert len(refused) == 1
 
 
 def test_history_reads_a_sha256_repository(tmp_path):

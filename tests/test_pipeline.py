@@ -253,7 +253,7 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
     assert report.totals == {"developers": 2, "authors": 2, "files": 4, "commits": 7}
     subcommands = [args[0] for args in calls]
     graph = ["rev-parse", "commit-graph"]  # find the objects, write the graph
-    assert subcommands == ["rev-parse", "ls-tree", "log", *graph] + ["blame"] * 4
+    assert subcommands == ["rev-parse", "log", "ls-tree", *graph] + ["blame"] * 4
     assert ("commit-graph", f"{head}\n".encode()) in inputs
     assert all(head in args for args in calls[1:3] + calls[5:])
 
@@ -430,6 +430,44 @@ def test_blame_compare_writes_neither_the_repository_nor_a_lasting_temp_file(
     with pytest.raises(RuntimeError, match="oddly"):
         run(AnalysisConfig(repo_path=str(bare), blame_compare=True))
     assert not list(temp.iterdir())
+
+
+def _moved_and_edited_repo(path):
+    """Alice adds a file, Bob moves and edits it in one commit: telling that
+    rename from a deletion and an addition needs both blobs."""
+    builder = rf.RepoBuilder(path)
+    lines = [f"line {i}\n" for i in range(21)]
+    builder.commit_file("a.txt", "".join(lines[:20]), "add", rf.ALICE)
+    builder.git("mv", "a.txt", "b.txt")
+    builder.commit_file("b.txt", "".join(lines), "move and edit", rf.BOB)
+    return builder
+
+
+@pytest.mark.parametrize(
+    "build, options, code",
+    [
+        (_moved_and_edited_repo, [], 2),  # git log needs the blobs
+        (_moved_and_edited_repo, ["--blame-compare"], 2),
+        (rf.two_author_repo, [], 0),  # no rename to detect: no blob needed
+        (rf.two_author_repo, ["--blame-compare"], 2),  # git blame needs them
+    ],
+    ids=["rename", "rename-blame", "plain", "plain-blame"],
+)
+def test_a_blobless_clone_is_never_fetched_into(tmp_path, capfd, build, options, code):
+    clone = rf.blobless_clone(build(tmp_path / "source"), tmp_path / "clone.git")
+    packs = sorted(path.name for path in (clone / "objects" / "pack").iterdir())
+    before = _files(clone)
+    assert main([str(clone), "--format", "json", *options]) == code
+    out, err = capfd.readouterr()
+    assert _files(clone) == before
+    assert sorted(path.name for path in (clone / "objects" / "pack").iterdir()) == packs
+    if code == 2:
+        assert (out, err.count("\n")) == ("", 1)
+        assert "a partial clone lacks objects that git needs" in err
+        assert "from promisor remote" in err
+        assert "git fetch --refetch --no-filter" in err
+    else:
+        assert json.loads(out)["totals"]["files"] == 4
 
 
 def test_blames_read_a_temporary_object_directory_ahead_of_the_repositorys(
