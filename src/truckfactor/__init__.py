@@ -15,13 +15,25 @@ Typical library use::
 
 The same pipeline is available on the command line as ``truckfactor``.
 Its stages are exported here too; every other name is importable from its
-own module.
+own module. The stages that read git take the revision that
+``resolve_revision`` resolves once, so they all read the same commit::
+
+    from truckfactor import list_snapshot_files, read_log, resolve_revision, trace_files
+
+    rev = resolve_revision("/path/to/repo")
+    traces = trace_files(read_log(rev), list_snapshot_files(rev))
 """
 
 from .authorship import blame_rank, score_trace, select_authors
 from .errors import TruckFactorError
 from .estimate import truck_factor
-from .history import collect_history, list_snapshot_files, read_log, trace_files
+from .history import (
+    collect_history,
+    list_snapshot_files,
+    read_log,
+    resolve_revision,
+    trace_files,
+)
 from .identity import resolve_aliases
 from .pipeline import AnalysisConfig, run
 from .report import Report, emit, parse_json
@@ -35,6 +47,7 @@ __all__ = [
     "emit",
     "parse_json",
     "TruckFactorError",
+    "resolve_revision",
     "list_snapshot_files",
     "read_log",
     "collect_history",

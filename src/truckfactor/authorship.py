@@ -21,11 +21,10 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BlameFailed, GitInvocationFailed
-from .history import FileTrace, run_git
+from .history import FileTrace, Revision, run_git
 from .identity import DeveloperId, RawUser
 
 DOA_INTERCEPT = 3.293
@@ -148,18 +147,17 @@ def select_authors(
 
 
 def blame_rank(
-    repo_path: str | Path,
+    revision: Revision,
     file: str,
     alias_map: Mapping[RawUser, DeveloperId],
-    branch: str | None = None,
     *,
     env: Mapping[str, str] | None = None,
 ) -> list[tuple[DeveloperId, int]]:
-    """Developers ranked by how many of ``file``'s lines they last touched.
+    """Developers ranked by how many of ``file``'s lines they last touched
+    at ``revision``.
 
-    ``file`` is relative to ``repo_path``, as for ``git blame``; pass the
-    repository root (or its git directory) for a root-relative path.
-    ``env``, when given, is git's whole environment.
+    ``file`` is relative to the repository root. ``env``, when given, is
+    git's whole environment.
 
     This is the independent signal used to sanity-check the change-based
     scores: surviving lines per developer, from ``git blame --porcelain``.
@@ -175,9 +173,9 @@ def blame_rank(
     # A blame.ignoreRevsFile in the user's config would hand lines to other
     # commits, or fail every blame when the file is missing; no -c value
     # clears it, only --no-ignore-revs-file does.
-    args = ["blame", "--porcelain", "--no-ignore-revs-file", branch or "HEAD"]
+    args = ["blame", "--porcelain", "--no-ignore-revs-file", revision.commit]
     try:
-        out = run_git(repo_path, [*args, "--", file], env=env)
+        out = run_git(revision.git_dir, [*args, "--", file], env=env)
     except GitInvocationFailed as exc:
         raise BlameFailed(f"blame failed for {file}: {exc.stderr or exc}") from exc
     lines_by_commit: dict[str, int] = defaultdict(int)

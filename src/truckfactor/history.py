@@ -6,7 +6,9 @@ objects git needs raises :class:`PartialClone`. Merge commits are
 suppressed so every change is counted once, on the branch where it was
 made, and renames are detected so a file's history survives being moved.
 :func:`read_log` starts ``git log`` as soon as it is called, so git can
-compute its diffs while the caller lists the snapshot.
+compute its diffs while the caller lists the snapshot. Every reader takes
+the :class:`Revision` that :func:`resolve_revision` returns, and runs git
+in its git directory at its commit.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class FileTrace:
     creator: RawUser | None = None
     creating_commit: str | None = None
 
-    # Read only by perfbench/tracer.py; see ROADMAP item 5.
+    # Read only by perfbench/tracer.py; see ROADMAP item 3.
     @property
     def complete(self) -> bool:
         """True when the trace reaches back to the file's original addition."""
@@ -255,39 +257,24 @@ def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revisi
     return Revision(commit=commit, shallow=shallow == "true", git_dir=git_dir)
 
 
-# Kept only because perfbench/tracer.py wraps it; see ROADMAP item 5.
+# Kept only because perfbench/tracer.py wraps it; see ROADMAP item 3.
 def resolve_commit(repo_path: str | Path, branch: str | None = None) -> str:
     """The commit id the analyzed revision points at."""
     return resolve_revision(repo_path, branch).commit
 
 
-def _run_at_revision(
-    repo_path: str | Path, branch: str | None, args: Sequence[str]
-) -> str:
-    """Run a git command that reads ``branch``. When it fails, resolving the
-    revision again raises the specific error for a missing repository, an
-    empty one or an unknown revision; otherwise git's own error stands."""
-    try:
-        return run_git(repo_path, args)
-    except GitInvocationFailed:
-        resolve_revision(repo_path, branch)
-        raise
-
-
 def list_snapshot_files(
-    repo_path: str | Path,
-    rules: FilterRules | None = None,
-    branch: str | None = None,
+    revision: Revision, rules: FilterRules | None = None
 ) -> list[str]:
-    """Every file tracked at the snapshot, minus whatever the rules exclude.
+    """Every file tracked at ``revision``, minus whatever the rules exclude.
 
     Only blob entries count: regular files and symlinks, not the gitlinks
     that record submodules. Returned sorted, as paths relative to the
-    repository root even when ``repo_path`` is a subdirectory of it.
+    repository root.
     """
     rules = rules if rules is not None else FilterRules()
-    out = _run_at_revision(
-        repo_path, branch, ["ls-tree", "-r", "-z", "--full-tree", branch or "HEAD"]
+    out = run_git(
+        revision.git_dir, ["ls-tree", "-r", "-z", "--full-tree", revision.commit]
     )
     # Each entry is "<mode> <type> <object>\t<path>", ended by a NUL.
     entries = (entry.partition("\t") for entry in out.split("\0")[:-1])
@@ -356,11 +343,9 @@ def parse_log(chunks: Iterable[bytes]) -> Iterator[Commit]:
         yield Commit(commit_id, author, changes)
 
 
-def read_log(
-    repo_path: str | Path, branch: str | None = None
-) -> Generator[Commit, None, None]:
-    """Every non-merge commit reachable from ``branch``, newest first, parsed
-    while ``git log`` is still running.
+def read_log(revision: Revision) -> Generator[Commit, None, None]:
+    """Every non-merge commit reachable from ``revision``, newest first,
+    parsed while ``git log`` is still running.
 
     Merge commits are excluded, so every change is counted once, on the
     branch where it was made, and renames are detected, so a file's history
@@ -370,36 +355,29 @@ def read_log(
     where the system allows, so git is not stopped by a full pipe meanwhile.
     git's stderr goes to a temporary file, so it can never fill up while its
     stdout is being read. Closing or dropping the generator, read or not,
-    or an error while reading, stops git. When git fails, resolving the
-    revision again raises the specific error for a missing repository, an
-    empty one or an unknown revision; otherwise :class:`PartialClone` or
-    :class:`GitInvocationFailed` carries git's stderr.
+    or an error while reading, stops git. When git fails,
+    :class:`PartialClone` or :class:`GitInvocationFailed` carries git's
+    stderr.
     """
-    log = _log(repo_path, branch)
+    log = _log(revision)
     next(log)  # runs up to the first yield, just after git started
     return cast(Generator[Commit, None, None], log)
 
 
-def _log(
-    repo_path: str | Path, branch: str | None
-) -> Generator[Commit | None, None, None]:
+def _log(revision: Revision) -> Generator[Commit | None, None, None]:
     """:func:`read_log`'s generator: ``None`` once git has started, then the
     commits. Closing it at that first yield stops git too."""
     args = [
         "log",
         "-z",
-        branch or "HEAD",
+        revision.commit,
         "--no-merges",
         "--find-renames",
         "--name-status",
         "--pretty=format:%x00%H%x00%an%x00%ae",
     ]
     with tempfile.TemporaryFile() as errors:
-        try:
-            proc = start_git(repo_path, args, errors)
-        except GitInvocationFailed:
-            resolve_revision(repo_path, branch)
-            raise
+        proc = start_git(revision.git_dir, args, errors)
         stdout = proc.stdout
         at_end = False
 
@@ -425,8 +403,7 @@ def _log(
         if proc.returncode != 0:
             errors.seek(0)
             message = errors.read().decode("utf-8", "replace").strip()
-            resolve_revision(repo_path, branch)
-            raise _failure(repo_path, args, message)
+            raise _failure(revision.git_dir, args, message)
 
 
 def _widen(pipe: IO[bytes]) -> None:
@@ -440,12 +417,11 @@ def _widen(pipe: IO[bytes]) -> None:
             fcntl.fcntl(pipe, set_size, _LOG_PIPE_BYTES)
 
 
-def collect_history(
-    repo_path: str | Path, branch: str | None = None
-) -> list[ChangeEvent]:
+# Kept only because perfbench/tracer.py wraps it; see ROADMAP item 3.
+def collect_history(revision: Revision) -> list[ChangeEvent]:
     """One ChangeEvent per A/M/R change, oldest commit first: the commits of
     :func:`read_log` in one list."""
-    commits = list(read_log(repo_path, branch))
+    commits = list(read_log(revision))
     return [
         ChangeEvent(commit_id, author, path, kind, old_path)
         for commit_id, author, changes in reversed(commits)

@@ -162,9 +162,7 @@ def _blame_agreement(
 
     def rank(file: str) -> list[tuple[identity.DeveloperId, int]] | None:
         try:
-            return authorship.blame_rank(
-                revision.git_dir, file, alias_map, branch=revision.commit, env=env
-            )
+            return authorship.blame_rank(revision, file, alias_map, env=env)
         except BlameFailed:
             return None
 
@@ -206,10 +204,8 @@ def run(config: AnalysisConfig) -> Report:
     revision = history.resolve_revision(config.repo_path, config.branch)
     commit_counts: Counter[identity.RawUser] = Counter()
     # git log runs from here on, while the snapshot is listed and filtered.
-    with closing(history.read_log(revision.git_dir, branch=revision.commit)) as log:
-        targets = history.list_snapshot_files(
-            revision.git_dir, rules, branch=revision.commit
-        )
+    with closing(history.read_log(revision)) as log:
+        targets = history.list_snapshot_files(revision, rules)
         traces = history.trace_files(_counting(log, commit_counts), targets)
     users = commit_counts.keys()
     overrides = (

@@ -15,7 +15,12 @@ import repo_fixtures as rf
 from reference import levenshtein
 from truckfactor.authorship import AuthorFileMap, doa, score_trace, select_authors
 from truckfactor.estimate import truck_factor
-from truckfactor.history import list_snapshot_files, read_log, trace_files
+from truckfactor.history import (
+    list_snapshot_files,
+    read_log,
+    resolve_revision,
+    trace_files,
+)
 from truckfactor.identity import DeveloperId, RawUser, resolve_aliases
 from truckfactor.pipeline import AnalysisConfig, run
 from truckfactor.report import emit
@@ -155,8 +160,9 @@ def test_fixture_repositories_end_to_end(tmp_path):
         )
 
         renamed = rf.rename_repo(tmp_path / "ren")
-        commits = list(read_log(renamed.path))
-        traces = trace_files(commits, list_snapshot_files(renamed.path))
+        revision = resolve_revision(renamed.path)
+        commits = list(read_log(revision))
+        traces = trace_files(commits, list_snapshot_files(revision))
         alias_map = resolve_aliases({c.author for c in commits})
         records = [r for t in traces for r in score_trace(t, alias_map)]
         carol = next(r for r in records if r.developer.canonical_name == "Carol")
@@ -253,8 +259,9 @@ def test_raising_k_never_enlarges_the_author_set(tmp_path):
     failures = []
     try:
         repo = rf.two_author_repo(tmp_path / "two")
-        commits = list(read_log(repo.path))
-        targets = list_snapshot_files(repo.path)
+        revision = resolve_revision(repo.path)
+        commits = list(read_log(revision))
+        targets = list_snapshot_files(revision)
         alias_map = resolve_aliases({c.author for c in commits})
         traces = trace_files(commits, targets)
         records = [r for t in traces for r in score_trace(t, alias_map)]

@@ -21,7 +21,9 @@ from truckfactor.history import (
     ChangeKind,
     Commit,
     FileTrace,
+    Revision,
     collect_history,
+    resolve_revision,
     trace_files,
 )
 from truckfactor.identity import DeveloperId, RawUser, resolve_aliases
@@ -333,13 +335,18 @@ def test_select_authors_shrinks_as_k_grows(data):
 
 
 def _alias_map_for(repo):
-    events = collect_history(repo.path)
+    events = collect_history(resolve_revision(repo.path))
     return resolve_aliases({e.author for e in events})
+
+
+def _blame(repo, file, alias_map, **kwargs):
+    """``blame_rank`` of ``file`` at the repository's ``HEAD``."""
+    return blame_rank(resolve_revision(repo.path), file, alias_map, **kwargs)
 
 
 def test_blame_rank_counts_surviving_lines(blame_overwrite_repo):
     alias_map = _alias_map_for(blame_overwrite_repo)
-    ranking = blame_rank(blame_overwrite_repo.path, "data.txt", alias_map)
+    ranking = _blame(blame_overwrite_repo, "data.txt", alias_map)
     assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 30), ("Bob", 10)]
 
 
@@ -355,7 +362,7 @@ def _line_porcelain_counts(repo, file):
 @pytest.mark.parametrize("fixture", ["interleaved_blame_repo", "blame_overwrite_repo"])
 def test_blame_rank_matches_a_line_porcelain_count(fixture, request):
     repo = request.getfixturevalue(fixture)
-    ranking = blame_rank(repo.path, "data.txt", _alias_map_for(repo))
+    ranking = _blame(repo, "data.txt", _alias_map_for(repo))
     expected = _line_porcelain_counts(repo, "data.txt")
     assert dict((d.canonical_name, n) for d, n in ranking) == expected
     assert [n for _, n in ranking] == sorted(expected.values(), reverse=True)
@@ -368,14 +375,14 @@ def test_blame_rank_counts_groups_whose_commit_was_described_earlier(
         "blame", "--porcelain", "HEAD", "--", "data.txt"
     )
     assert porcelain.count("\nauthor Alice\n") == 1  # two groups, one header
-    ranking = blame_rank(interleaved_blame_repo.path, "data.txt", {})
+    ranking = _blame(interleaved_blame_repo, "data.txt", {})
     assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 20), ("Bob", 10)]
 
 
 def test_blame_rank_keeps_a_lone_carriage_return_inside_its_line(
     carriage_return_repo,
 ):
-    ranking = blame_rank(carriage_return_repo.path, "data.txt", {})
+    ranking = _blame(carriage_return_repo, "data.txt", {})
     assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 3), ("Bob", 1)]
     assert dict((d.canonical_name, n) for d, n in ranking) == _line_porcelain_counts(
         carriage_return_repo, "data.txt"
@@ -387,12 +394,12 @@ def test_blame_rank_rejects_lines_of_a_commit_with_no_author(monkeypatch):
     undescribed = f"{commit} 1 1 1\n\tonly line\n"
     monkeypatch.setattr(authorship, "run_git", lambda *_, **__: undescribed)
     with pytest.raises(BlameFailed, match="no author"):
-        blame_rank(".", "data.txt", {})
+        blame_rank(Revision(commit, False, "."), "data.txt", {})
 
 
 def test_blame_rank_of_single_author_file(single_author_repo):
     alias_map = _alias_map_for(single_author_repo)
-    ranking = blame_rank(single_author_repo.path, "src/f1.py", alias_map)
+    ranking = _blame(single_author_repo, "src/f1.py", alias_map)
     assert len(ranking) == 1
     assert ranking[0][0].canonical_name == "Alice"
     assert ranking[0][1] == 1  # the file is one line long
@@ -402,23 +409,23 @@ def test_blame_rank_runs_git_in_the_environment_it_is_given(
     tmp_path, single_author_repo
 ):
     elsewhere = {**os.environ, "GIT_DIR": str(tmp_path / "nowhere")}
-    assert blame_rank(single_author_repo.path, "src/f1.py", {}, env=os.environ)
+    assert _blame(single_author_repo, "src/f1.py", {}, env=os.environ)
     with pytest.raises(BlameFailed):
-        blame_rank(single_author_repo.path, "src/f1.py", {}, env=elsewhere)
+        _blame(single_author_repo, "src/f1.py", {}, env=elsewhere)
 
 
 def test_blame_rank_empty_file(tmp_path):
     builder = rf.RepoBuilder(tmp_path / "empty")
     builder.commit_file("empty.txt", "", "add empty", rf.ALICE)
-    assert blame_rank(builder.path, "empty.txt", {}) == []
+    assert _blame(builder, "empty.txt", {}) == []
 
 
 def test_blame_rank_unknown_file_fails(single_author_repo):
     with pytest.raises(BlameFailed):
-        blame_rank(single_author_repo.path, "no/such/file.py", {})
+        _blame(single_author_repo, "no/such/file.py", {})
 
 
 def test_blame_rank_tolerates_users_missing_from_the_alias_map(blame_overwrite_repo):
-    ranking = blame_rank(blame_overwrite_repo.path, "data.txt", {})
+    ranking = _blame(blame_overwrite_repo, "data.txt", {})
     assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 30), ("Bob", 10)]
 

@@ -52,64 +52,44 @@ def _trace_of(path, *commit_kind_pairs):
 
 
 def test_snapshot_lists_tracked_files_sorted(single_author_repo):
-    files = list_snapshot_files(single_author_repo.path, FilterRules.none())
+    revision = resolve_revision(single_author_repo.path)
+    files = list_snapshot_files(revision, FilterRules.none())
     assert files == ["src/f1.py", "src/f2.py", "src/f3.py"]
 
 
 def test_snapshot_applies_filter_rules(vendored_repo):
-    everything = list_snapshot_files(vendored_repo.path, FilterRules.none())
+    revision = resolve_revision(vendored_repo.path)
+    everything = list_snapshot_files(revision, FilterRules.none())
     assert len(everything) == 4
-    filtered = list_snapshot_files(vendored_repo.path)
+    filtered = list_snapshot_files(revision)
     assert filtered == ["src/app.py"]
 
 
 def test_snapshot_honors_branch(branched_repo):
-    assert list_snapshot_files(branched_repo.path, FilterRules.none()) == ["m.txt"]
-    on_dev = list_snapshot_files(branched_repo.path, FilterRules.none(), branch="dev")
-    assert on_dev == ["d.txt", "m.txt"]
-
-
-def test_snapshot_rejects_non_repository(tmp_path):
-    with pytest.raises(NotARepository):
-        list_snapshot_files(tmp_path / "nothing-here")
-    plain_dir = tmp_path / "plain"
-    plain_dir.mkdir()
-    with pytest.raises(NotARepository):
-        list_snapshot_files(plain_dir)
-
-
-def test_snapshot_rejects_a_regular_file(tmp_path):
-    not_a_directory = tmp_path / "file.txt"
-    not_a_directory.write_text("x\n", encoding="utf-8")
-    with pytest.raises(NotARepository):
-        list_snapshot_files(not_a_directory)
-
-
-def test_snapshot_rejects_repository_without_commits(tmp_path):
-    bare = rf.RepoBuilder(tmp_path / "fresh")
-    with pytest.raises(EmptyRepository):
-        list_snapshot_files(bare.path)
-
-
-def test_snapshot_rejects_unknown_branch(single_author_repo):
-    with pytest.raises(GitInvocationFailed):
-        list_snapshot_files(single_author_repo.path, branch="no-such-branch")
+    on_head = resolve_revision(branched_repo.path)
+    assert list_snapshot_files(on_head, FilterRules.none()) == ["m.txt"]
+    on_dev = resolve_revision(branched_repo.path, "dev")
+    assert list_snapshot_files(on_dev, FilterRules.none()) == ["d.txt", "m.txt"]
 
 
 def test_snapshot_decodes_quoted_unicode_paths(tmp_path):
     builder = rf.RepoBuilder(tmp_path / "uni")
     builder.commit_file("naïve.py", "x = 1\n", "add unicode name", rf.ALICE)
-    assert list_snapshot_files(builder.path, FilterRules.none()) == ["naïve.py"]
+    revision = resolve_revision(builder.path)
+    assert list_snapshot_files(revision, FilterRules.none()) == ["naïve.py"]
 
 
 def test_snapshot_keeps_blobs_and_symlinks_but_not_gitlinks(gitlink_repo):
-    files = list_snapshot_files(gitlink_repo.path, FilterRules.none())
+    files = list_snapshot_files(resolve_revision(gitlink_repo.path), FilterRules.none())
     assert files == ["src/app.py", "src/link.py"]
 
 
 def test_library_traces_are_the_same_from_a_subdirectory(single_author_repo):
     def traces(path):
-        return trace_files(read_log(path), list_snapshot_files(path, FilterRules.none()))
+        revision = resolve_revision(path)
+        return trace_files(
+            read_log(revision), list_snapshot_files(revision, FilterRules.none())
+        )
 
     from_root = traces(single_author_repo.path)
     assert [t.current_path for t in from_root] == ["src/f1.py", "src/f2.py", "src/f3.py"]
@@ -143,6 +123,22 @@ def test_resolve_revision_keeps_its_errors_apart(tmp_path, single_author_repo):
         resolve_revision(single_author_repo.path, "no-such-branch")
 
 
+def test_snapshot_rejects_a_regular_file(tmp_path):
+    not_a_directory = tmp_path / "file.txt"
+    not_a_directory.write_text("x\n", encoding="utf-8")
+    with pytest.raises(NotARepository):
+        list_snapshot_files(resolve_revision(not_a_directory))
+
+
+def test_a_revision_shaped_like_an_option_never_reaches_git_as_one(
+    tmp_path, single_author_repo
+):
+    written = tmp_path / "log.txt"
+    with pytest.raises(GitInvocationFailed, match="not found"):
+        resolve_revision(single_author_repo.path, f"--output={written}")
+    assert not written.exists()
+
+
 def test_a_repository_of_another_owner_is_refused_with_gits_reason(
     monkeypatch, single_author_repo
 ):
@@ -167,7 +163,7 @@ def test_resolve_revision_detects_shallow_clones(tmp_path, two_author_repo):
 
 
 def test_history_yields_additions_oldest_first(single_author_repo):
-    events = collect_history(single_author_repo.path)
+    events = collect_history(resolve_revision(single_author_repo.path))
     assert [e.path for e in events] == ["src/f1.py", "src/f2.py", "src/f3.py"]
     assert all(e.kind is ChangeKind.ADDITION for e in events)
     assert [e.commit_id for e in events] == single_author_repo.git(
@@ -178,7 +174,7 @@ def test_history_yields_additions_oldest_first(single_author_repo):
 
 
 def test_history_records_renames_with_old_path(rename_repo):
-    events = collect_history(rename_repo.path)
+    events = collect_history(resolve_revision(rename_repo.path))
     assert len(events) == 2
     addition, rename = events
     assert addition.kind is ChangeKind.ADDITION
@@ -190,7 +186,7 @@ def test_history_records_renames_with_old_path(rename_repo):
 
 
 def test_history_excludes_merge_commits(merge_repo):
-    events = collect_history(merge_repo.path)
+    events = collect_history(resolve_revision(merge_repo.path))
     assert len({e.commit_id for e in events}) == 3
     merge_sha = resolve_commit(merge_repo.path)
     assert merge_sha not in {e.commit_id for e in events}
@@ -202,13 +198,13 @@ def test_history_drops_deletions(tmp_path):
     builder.git("rm", "-q", "f.txt")
     builder.git("commit", "-q", "-m", "remove", user=rf.ALICE)
     builder.commit_file("f.txt", "v2\n", "re-add", rf.BOB)
-    events = collect_history(builder.path)
+    events = collect_history(resolve_revision(builder.path))
     assert [e.kind for e in events] == [ChangeKind.ADDITION, ChangeKind.ADDITION]
     assert [e.author.name for e in events] == ["Alice", "Bob"]
 
 
 def test_history_counts_modifications(two_author_repo):
-    events = collect_history(two_author_repo.path)
+    events = collect_history(resolve_revision(two_author_repo.path))
     f3 = [e for e in events if e.path == "f3.py"]
     assert [e.kind for e in f3] == [
         ChangeKind.ADDITION,
@@ -218,30 +214,17 @@ def test_history_counts_modifications(two_author_repo):
     ]
 
 
-def test_history_requires_a_repository(tmp_path):
-    with pytest.raises(NotARepository):
-        collect_history(tmp_path / "missing")
-
-
-def test_log_failures_keep_their_specific_errors(tmp_path, single_author_repo):
-    with pytest.raises(NotARepository):
-        list(read_log(tmp_path / "missing"))
-    with pytest.raises(EmptyRepository):
-        list(read_log(rf.RepoBuilder(tmp_path / "fresh").path))
-    with pytest.raises(GitInvocationFailed, match="'no-such-branch' not found"):
-        list(read_log(single_author_repo.path, "no-such-branch"))
-
-
 def test_a_git_that_cannot_start_is_named_as_such(
     tmp_path, monkeypatch, single_author_repo
 ):
+    repo = single_author_repo.path
+    revision = resolve_revision(repo)
     no_git = tmp_path / "no-git"
     no_git.mkdir()
     monkeypatch.setenv("PATH", str(no_git))
-    repo = single_author_repo.path
     calls = [
         lambda: resolve_revision(repo),
-        lambda: list(read_log(repo)),
+        lambda: list(read_log(revision)),
         lambda: run(AnalysisConfig(repo_path=str(repo))),
     ]
     for call in calls:
@@ -280,7 +263,7 @@ def test_a_log_that_fails_partway_raises_with_gits_stderr(tmp_path):
     (builder.path / ".git" / "objects" / lost[:2] / lost[2:]).unlink()
     seen = []
     with pytest.raises(GitInvocationFailed) as failure:
-        for commit in read_log(builder.path):
+        for commit in read_log(resolve_revision(builder.path)):
             seen.append(commit)
     assert failure.value.command.startswith("git log")
     assert lost in failure.value.stderr
@@ -328,25 +311,27 @@ def fake_git(tmp_path, monkeypatch):
 
 
 def test_a_full_stderr_does_not_stall_the_log(fake_git, single_author_repo):
+    revision = resolve_revision(single_author_repo.path)
     fake_git(
         f'sys.stderr.write("x" * 1_000_000); sys.stderr.flush()\n'
         f'sys.stdout.write("{_RECORD}")'
     )
     began = time.monotonic()
-    (commit,) = read_log(single_author_repo.path)
+    (commit,) = read_log(revision)
     assert time.monotonic() - began < 10  # git was never blocked on stderr
     addition = (ChangeKind.ADDITION, "a.py", None)
     assert commit == Commit("c" * 40, RawUser("Cy", "c@x"), [addition])
 
 
 def test_a_malformed_record_stops_git(fake_git, single_author_repo):
+    revision = resolve_revision(single_author_repo.path)
     started = fake_git(
         f'sys.stdout.write("{_RECORD}\\0" + "d" * 40 + "\\0Dee\\0d@x\\nM\\0\\0\\0"); '
         "sys.stdout.flush(); time.sleep(30)"
     )
     began = time.monotonic()
     with pytest.raises(GitInvocationFailed, match="malformed change 'M'"):
-        list(read_log(single_author_repo.path))
+        list(read_log(revision))
     assert time.monotonic() - began < 10  # git was stopped, not waited for
     (log,) = started
     assert log.poll() is not None
@@ -395,20 +380,22 @@ def test_a_listing_that_fails_stops_the_early_log(
 
 
 def test_a_log_closed_unread_stops_git(fake_git, single_author_repo):
+    revision = resolve_revision(single_author_repo.path)
     started = fake_git(
         f'sys.stdout.write("{_RECORD}"); sys.stdout.flush(); time.sleep(30)'
     )
-    log = read_log(single_author_repo.path)
+    log = read_log(revision)
     assert _log_process(started).poll() is None  # started by the call alone
     log.close()
     assert _log_process(started).poll() is not None
 
 
 def test_a_log_dropped_unread_stops_git(fake_git, single_author_repo):
+    revision = resolve_revision(single_author_repo.path)
     started = fake_git(
         f'sys.stdout.write("{_RECORD}"); sys.stdout.flush(); time.sleep(30)'
     )
-    read_log(single_author_repo.path)
+    read_log(revision)
     gc.collect()  # in case a reference cycle still holds the generator
     assert _log_process(started).poll() is not None
 
@@ -419,7 +406,8 @@ def test_a_log_dropped_unread_stops_git(fake_git, single_author_repo):
 def test_a_pipe_that_cannot_be_widened_reads_the_same_log(
     monkeypatch, two_author_repo
 ):
-    commits = list(read_log(two_author_repo.path))
+    revision = resolve_revision(two_author_repo.path)
+    commits = list(read_log(revision))
     refused = []
 
     def refuse(*args):
@@ -427,14 +415,14 @@ def test_a_pipe_that_cannot_be_widened_reads_the_same_log(
         raise PermissionError("pipe quota reached")
 
     monkeypatch.setattr(history.fcntl, "fcntl", refuse)
-    assert list(read_log(two_author_repo.path)) == commits
+    assert list(read_log(revision)) == commits
     assert len(commits) == 7
     assert len(refused) == 1
 
 
 def test_history_reads_a_sha256_repository(tmp_path):
     builder = rf.rename_repo(tmp_path / "sha256", object_format="sha256")
-    events = collect_history(builder.path)
+    events = collect_history(resolve_revision(builder.path))
     assert [(e.kind, e.path, e.old_path) for e in events] == [
         (ChangeKind.ADDITION, "src/original.py", None),
         (ChangeKind.RENAME, "src/renamed.py", "src/original.py"),
@@ -446,14 +434,15 @@ def test_history_reads_a_sha256_repository(tmp_path):
 def test_history_keeps_an_author_name_with_a_line_separator(tmp_path):
     builder = rf.RepoBuilder(tmp_path / "u2028")
     builder.commit_file("a.py", "a\n", "add", ("Ann\u2028Lee", "ann@example.com"))
-    (event,) = collect_history(builder.path)
+    (event,) = collect_history(resolve_revision(builder.path))
     assert event.author == RawUser("Ann\u2028Lee", "ann@example.com")
 
 
 def test_non_utf8_names_stay_distinct(latin1_repo):
     names = list(rf.LATIN1_FILES)
-    assert list_snapshot_files(latin1_repo.path, FilterRules.none()) == names
-    events = collect_history(latin1_repo.path)
+    revision = resolve_revision(latin1_repo.path)
+    assert list_snapshot_files(revision, FilterRules.none()) == names
+    events = collect_history(revision)
     assert sorted(e.path for e in events) == names
     assert {e.author for e in events} == {RawUser(*rf.LATIN1_AUTHOR)}
 
@@ -524,8 +513,9 @@ def test_history_and_snapshot_round_trip_through_fast_import(commits):
         repo = Path(scratch) / "repo.git"
         planned, final = rf.import_plan(repo, commits)
         ids = rf.commit_ids(repo)
-        events = collect_history(repo)
-        snapshot = list_snapshot_files(repo, FilterRules.none())
+        revision = resolve_revision(repo)
+        events = collect_history(revision)
+        snapshot = list_snapshot_files(revision, FilterRules.none())
     position = {commit_id: i for i, commit_id in enumerate(ids)}
     got = [
         (position[e.commit_id], e.author, e.kind.value, e.path, e.old_path)
@@ -572,8 +562,9 @@ def test_traces_hold_exactly_the_changes_of_each_file(commits):
         repo = Path(scratch) / "repo.git"
         planned, final = rf.import_plan(repo, commits)
         ids = rf.commit_ids(repo)
-        snapshot = list_snapshot_files(repo, FilterRules.none())
-        traces = trace_files(read_log(repo), snapshot)
+        revision = resolve_revision(repo)
+        snapshot = list_snapshot_files(revision, FilterRules.none())
+        traces = trace_files(read_log(revision), snapshot)
     assert [trace.current_path for trace in traces] == sorted(final)
     for trace in traces:
         changes = [
@@ -592,7 +583,8 @@ def test_traces_hold_exactly_the_changes_of_each_file(commits):
 
 
 def test_trace_follows_rename_chain(rename_repo):
-    (trace,) = trace_files(read_log(rename_repo.path), ["src/renamed.py"])
+    log = read_log(resolve_revision(rename_repo.path))
+    (trace,) = trace_files(log, ["src/renamed.py"])
     assert trace.current_path == "src/renamed.py"
     carol, dave = RawUser(*rf.CAROL), RawUser(*rf.DAVE)
     assert trace.deliveries == {carol: 1, dave: 1}
@@ -609,7 +601,8 @@ def test_trace_does_not_absorb_a_reused_old_path(tmp_path):
     builder.move("a.txt", "b.txt", "rename a to b", rf.ALICE)
     builder.commit_file("a.txt", "completely different\n", "new a", rf.BOB)
     builder.commit_file("a.txt", "completely different\nplus\n", "touch new a", rf.BOB)
-    b_trace, a_trace = trace_files(read_log(builder.path), ["b.txt", "a.txt"])
+    log = read_log(resolve_revision(builder.path))
+    b_trace, a_trace = trace_files(log, ["b.txt", "a.txt"])
     alice, bob = RawUser(*rf.ALICE), RawUser(*rf.BOB)
     assert b_trace.deliveries == {alice: 2}
     assert b_trace.creator == alice
@@ -626,14 +619,15 @@ def test_trace_of_unknown_target_is_empty_and_incomplete():
 
 def test_traces_come_back_in_target_order(two_author_repo):
     targets = ["f4.py", "f1.py", "f3.py"]
-    traces = trace_files(read_log(two_author_repo.path), targets)
+    traces = trace_files(read_log(resolve_revision(two_author_repo.path)), targets)
     assert [t.current_path for t in traces] == targets
 
 
 def test_each_change_is_delivered_to_one_trace(two_author_repo):
-    events = collect_history(two_author_repo.path)
+    revision = resolve_revision(two_author_repo.path)
+    events = collect_history(revision)
     targets = ["f1.py", "f2.py", "f3.py", "f4.py"]
-    traces = trace_files(read_log(two_author_repo.path), targets)
+    traces = trace_files(read_log(revision), targets)
     for trace in traces:
         at_path = [e.author for e in events if e.path == trace.current_path]
         assert trace.deliveries == Counter(at_path)

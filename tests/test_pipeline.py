@@ -190,7 +190,7 @@ def test_blame_pool_tallies_like_a_sequential_loop(monkeypatch):
     lock = threading.Lock()
     running = peak = 0
 
-    def fake_blame_rank(repo_path, file, alias_map, branch=None, env=None):
+    def fake_blame_rank(revision, file, alias_map, *, env=None):
         nonlocal running, peak
         with lock:
             running += 1
@@ -547,18 +547,12 @@ def test_blames_without_a_usable_graph_rank_as_before(tmp_path, two_author_repo,
         url = two_author_repo.path.as_uri()
         two_author_repo.git("clone", "-q", "--depth", "2", url, str(repo))
     revision = history.resolve_revision(repo)
-    files = history.list_snapshot_files(
-        revision.git_dir, FilterRules(), branch=revision.commit
-    )
+    files = history.list_snapshot_files(revision, FilterRules())
     with pipeline._changed_path_graph(revision) as env:
         assert (env is None) == (kind == "shallow")
         for file in files:
-            ranking = authorship.blame_rank(
-                revision.git_dir, file, {}, branch=revision.commit, env=env
-            )
-            assert ranking == authorship.blame_rank(
-                revision.git_dir, file, {}, branch=revision.commit
-            )
+            ranking = authorship.blame_rank(revision, file, {}, env=env)
+            assert ranking == authorship.blame_rank(revision, file, {})
 
 
 def test_a_repositorys_own_commit_graph_changes_no_byte(tmp_path, capfd):
