@@ -36,7 +36,7 @@ from .history import (
 )
 from .identity import resolve_aliases
 from .pipeline import AnalysisConfig, run
-from .report import Report, emit, parse_json
+from .report import Report, emit
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,6 @@ __all__ = [
     "run",
     "Report",
     "emit",
-    "parse_json",
     "TruckFactorError",
     "resolve_revision",
     "list_snapshot_files",

@@ -64,6 +64,7 @@ def _normalize_glob(pattern: str) -> str:
     return pattern
 
 
+# Only tests call this: the per-pattern reference for FilterRules' combined regexes.
 def compile_glob(pattern: str) -> re.Pattern[str]:
     """Compile one ignore-style glob into a regex over relative paths.
 
@@ -104,8 +105,9 @@ def _parse_lines(text: str) -> list[str]:
 
 def load_pattern_file(path: str | Path) -> list[str]:
     """Read glob patterns or explicit paths from a file: one per line,
-    ``#`` comments and blank lines skipped, UTF-8."""
-    return _parse_lines(Path(path).read_text(encoding="utf-8"))
+    ``#`` comments and blank lines skipped, UTF-8 with or without a
+    byte-order mark."""
+    return _parse_lines(Path(path).read_text(encoding="utf-8-sig"))
 
 
 @lru_cache(maxsize=1)
@@ -160,8 +162,3 @@ class FilterRules:
         if self._names and self._names.fullmatch(path, path.rfind("/") + 1):
             return True
         return bool(self._regex and self._regex.match(path))
-
-    @classmethod
-    def none(cls) -> "FilterRules":
-        """Rules that exclude nothing, built-ins included."""
-        return cls(builtin_vendored=[])

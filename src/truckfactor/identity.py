@@ -180,11 +180,11 @@ def load_alias_overrides(path: str | Path) -> dict[str, str]:
     """Parse an override file mapping users to canonical names.
 
     One ``<email-or-name> => <canonical name>`` rule per line; blank lines
-    and ``#`` comments are ignored. Keys are matched case-insensitively
-    against both emails and names.
+    and ``#`` comments are ignored, and so is a leading byte-order mark.
+    Keys are matched case-insensitively against both emails and names.
     """
     overrides: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

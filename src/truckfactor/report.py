@@ -75,22 +75,6 @@ class Report:
     alias_candidates: list[AliasCandidate] | None = None
     warnings: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Report":
-        data = dict(data)
-        data["removed"] = [RemovedAuthor(**row) for row in data["removed"]]
-        data["migration"] = MigrationSummary(**data["migration"])
-        if data.get("blame_agreement") is not None:
-            data["blame_agreement"] = BlameAgreement(**data["blame_agreement"])
-        if data.get("alias_candidates") is not None:
-            data["alias_candidates"] = [
-                AliasCandidate(**row) for row in data["alias_candidates"]
-            ]
-        return cls(**data)
-
 
 def emit(report: Report, format: str = "text") -> bytes:
     """Render a report as UTF-8 bytes in the requested format.
@@ -110,13 +94,8 @@ def emit(report: Report, format: str = "text") -> bytes:
     return rendered.encode("utf-8", "surrogateescape")
 
 
-def parse_json(data: bytes | str) -> Report:
-    """Inverse of ``emit(report, "json")``."""
-    return Report.from_dict(json.loads(data))
-
-
 def _emit_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def _emit_csv(report: Report) -> str:

@@ -48,12 +48,16 @@ from truckfactor.filters import FilterRules, builtin_patterns, compile_glob, loa
     ],
 )
 def test_compile_glob(pattern, path, matches):
+    # the per-pattern reference, then the combined regexes that ship
     assert bool(compile_glob(pattern).match(path)) == matches
+    assert FilterRules(ignore_globs=[pattern], builtin_vendored=[]).matches(path) == matches
 
 
 def test_compile_glob_rejects_empty_pattern():
     with pytest.raises(ValueError):
         compile_glob("   ")
+    with pytest.raises(ValueError):
+        FilterRules(ignore_globs=["   "], builtin_vendored=[])
 
 
 def test_explicit_paths_match_exactly_or_as_directory_prefix():
@@ -66,7 +70,7 @@ def test_explicit_paths_match_exactly_or_as_directory_prefix():
 
 
 def test_empty_rules_keep_everything():
-    rules = FilterRules.none()
+    rules = FilterRules(builtin_vendored=[])
     for path in ["vendor/lib.js", "docs/index.md", "src/main.c", "", "a"]:
         assert not rules.matches(path)
 
@@ -110,6 +114,12 @@ def test_pattern_and_path_files_share_the_line_format(tmp_path):
     listing = tmp_path / "rules.txt"
     listing.write_text("# comment\n\n  *.gen.go  \nbuild/**\n# tail\n", encoding="utf-8")
     assert load_pattern_file(listing) == ["*.gen.go", "build/**"]
+
+
+def test_pattern_file_ignores_a_leading_byte_order_mark(tmp_path):
+    listing = tmp_path / "patterns.txt"
+    listing.write_bytes(b"\xef\xbb\xbf*.py\nbuild/**\n")
+    assert load_pattern_file(listing) == ["*.py", "build/**"]
 
 
 def test_pattern_files_break_lines_only_at_newlines(tmp_path):

@@ -53,13 +53,13 @@ def _trace_of(path, *commit_kind_pairs):
 
 def test_snapshot_lists_tracked_files_sorted(single_author_repo):
     revision = resolve_revision(single_author_repo.path)
-    files = list_snapshot_files(revision, FilterRules.none())
+    files = list_snapshot_files(revision, FilterRules(builtin_vendored=[]))
     assert files == ["src/f1.py", "src/f2.py", "src/f3.py"]
 
 
 def test_snapshot_applies_filter_rules(vendored_repo):
     revision = resolve_revision(vendored_repo.path)
-    everything = list_snapshot_files(revision, FilterRules.none())
+    everything = list_snapshot_files(revision, FilterRules(builtin_vendored=[]))
     assert len(everything) == 4
     filtered = list_snapshot_files(revision)
     assert filtered == ["src/app.py"]
@@ -67,20 +67,20 @@ def test_snapshot_applies_filter_rules(vendored_repo):
 
 def test_snapshot_honors_branch(branched_repo):
     on_head = resolve_revision(branched_repo.path)
-    assert list_snapshot_files(on_head, FilterRules.none()) == ["m.txt"]
+    assert list_snapshot_files(on_head, FilterRules(builtin_vendored=[])) == ["m.txt"]
     on_dev = resolve_revision(branched_repo.path, "dev")
-    assert list_snapshot_files(on_dev, FilterRules.none()) == ["d.txt", "m.txt"]
+    assert list_snapshot_files(on_dev, FilterRules(builtin_vendored=[])) == ["d.txt", "m.txt"]
 
 
 def test_snapshot_decodes_quoted_unicode_paths(tmp_path):
     builder = rf.RepoBuilder(tmp_path / "uni")
     builder.commit_file("naïve.py", "x = 1\n", "add unicode name", rf.ALICE)
     revision = resolve_revision(builder.path)
-    assert list_snapshot_files(revision, FilterRules.none()) == ["naïve.py"]
+    assert list_snapshot_files(revision, FilterRules(builtin_vendored=[])) == ["naïve.py"]
 
 
 def test_snapshot_keeps_blobs_and_symlinks_but_not_gitlinks(gitlink_repo):
-    files = list_snapshot_files(resolve_revision(gitlink_repo.path), FilterRules.none())
+    files = list_snapshot_files(resolve_revision(gitlink_repo.path), FilterRules(builtin_vendored=[]))
     assert files == ["src/app.py", "src/link.py"]
 
 
@@ -88,7 +88,7 @@ def test_library_traces_are_the_same_from_a_subdirectory(single_author_repo):
     def traces(path):
         revision = resolve_revision(path)
         return trace_files(
-            read_log(revision), list_snapshot_files(revision, FilterRules.none())
+            read_log(revision), list_snapshot_files(revision, FilterRules(builtin_vendored=[]))
         )
 
     from_root = traces(single_author_repo.path)
@@ -441,7 +441,7 @@ def test_history_keeps_an_author_name_with_a_line_separator(tmp_path):
 def test_non_utf8_names_stay_distinct(latin1_repo):
     names = list(rf.LATIN1_FILES)
     revision = resolve_revision(latin1_repo.path)
-    assert list_snapshot_files(revision, FilterRules.none()) == names
+    assert list_snapshot_files(revision, FilterRules(builtin_vendored=[])) == names
     events = collect_history(revision)
     assert sorted(e.path for e in events) == names
     assert {e.author for e in events} == {RawUser(*rf.LATIN1_AUTHOR)}
@@ -515,7 +515,7 @@ def test_history_and_snapshot_round_trip_through_fast_import(commits):
         ids = rf.commit_ids(repo)
         revision = resolve_revision(repo)
         events = collect_history(revision)
-        snapshot = list_snapshot_files(revision, FilterRules.none())
+        snapshot = list_snapshot_files(revision, FilterRules(builtin_vendored=[]))
     position = {commit_id: i for i, commit_id in enumerate(ids)}
     got = [
         (position[e.commit_id], e.author, e.kind.value, e.path, e.old_path)
@@ -563,7 +563,7 @@ def test_traces_hold_exactly_the_changes_of_each_file(commits):
         planned, final = rf.import_plan(repo, commits)
         ids = rf.commit_ids(repo)
         revision = resolve_revision(repo)
-        snapshot = list_snapshot_files(revision, FilterRules.none())
+        snapshot = list_snapshot_files(revision, FilterRules(builtin_vendored=[]))
         traces = trace_files(read_log(revision), snapshot)
     assert [trace.current_path for trace in traces] == sorted(final)
     for trace in traces:

@@ -344,3 +344,9 @@ def test_override_file_ignores_comments_and_blanks(tmp_path):
     rules = tmp_path / "aliases.txt"
     rules.write_text("\n# comment\n  \nbob@x.com => Bob\n", encoding="utf-8")
     assert load_alias_overrides(rules) == {"bob@x.com": "Bob"}
+
+
+def test_override_file_ignores_a_leading_byte_order_mark(tmp_path):
+    rules = tmp_path / "aliases.txt"
+    rules.write_bytes(b"\xef\xbb\xbfa@x => Bob\n")
+    assert load_alias_overrides(rules) == {"a@x": "Bob"}

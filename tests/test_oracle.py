@@ -44,10 +44,9 @@ def run_case(case: str) -> tuple[int, bytes]:
     that holds the repositories, so the report names each by its builder."""
     name, *options = case.split(" ")
     out = io.BytesIO()
-    stdout = io.TextIOWrapper(out, write_through=True)
+    stdout = io.TextIOWrapper(out)  # the CLI writes bytes to its buffer, ``out``
     with contextlib.redirect_stdout(stdout):
         code = main([name, "--format", "json", *options])
-    stdout.flush()
     return code, out.getvalue()
 
 
