@@ -27,13 +27,7 @@ own module. The stages that read git take the revision that
 from .authorship import blame_rank, score_trace, select_authors
 from .errors import TruckFactorError
 from .estimate import truck_factor
-from .history import (
-    collect_history,
-    list_snapshot_files,
-    read_log,
-    resolve_revision,
-    trace_files,
-)
+from .history import list_snapshot_files, read_log, resolve_revision, trace_files
 from .identity import resolve_aliases
 from .pipeline import AnalysisConfig, run
 from .report import Report, emit
@@ -49,7 +43,6 @@ __all__ = [
     "resolve_revision",
     "list_snapshot_files",
     "read_log",
-    "collect_history",
     "trace_files",
     "resolve_aliases",
     "score_trace",

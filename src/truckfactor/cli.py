@@ -15,6 +15,8 @@ from .report import emit
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser. Every destination other than ``output_format`` and
+    ``fail_under`` is the name of an :class:`AnalysisConfig` field."""
     parser = argparse.ArgumentParser(
         prog="truckfactor",
         description=(
@@ -40,6 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--patterns",
         default=None,
+        dest="patterns_file",
         metavar="FILE",
         help="file of additional exclusion globs, one per line",
     )
@@ -101,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-migration-check",
-        action="store_true",
+        action="store_false",
+        dest="migration_check",
         help="skip the bulk-import heuristic",
     )
     parser.add_argument(
@@ -115,33 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = AnalysisConfig(
-        repo_path=args.repo_path,
-        branch=args.branch,
-        ignore_file=args.ignore_file,
-        patterns_file=args.patterns,
-        alias_file=args.alias_file,
-        k=args.k,
-        m=args.m,
-        coverage=args.coverage,
-        universe=args.universe,
-        blame_compare=args.blame_compare,
-        seed=args.seed,
-        alias_report=args.alias_report,
-        migration_check=not args.no_migration_check,
-    )
+    args = vars(build_parser().parse_args(argv))
+    output_format = args.pop("output_format")
+    fail_under = args.pop("fail_under")
     try:
-        report = run(config)
+        report = run(AnalysisConfig(**args))
     except (TruckFactorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.buffer.write(emit(report, args.output_format))
+    sys.stdout.buffer.write(emit(report, output_format))
     sys.stdout.buffer.flush()
-    if args.fail_under is not None and report.truck_factor < args.fail_under:
+    if fail_under is not None and report.truck_factor < fail_under:
         print(
             f"truck factor {report.truck_factor} is below the required "
-            f"minimum {args.fail_under}",
+            f"minimum {fail_under}",
             file=sys.stderr,
         )
         return 1

@@ -15,23 +15,15 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .authorship import AuthorFileMap
-from .identity import DeveloperId
-
-
-@dataclass(frozen=True)
-class RemovalStep:
-    """One greedy removal: who left, with how many authored files, and the
-    coverage that remained afterwards."""
-
-    developer: DeveloperId
-    files_authored: int
-    coverage_after: float
+from .report import RemovedAuthor
 
 
 @dataclass
 class TruckFactorResult:
-    tf: int
-    removed: list[RemovalStep]
+    """The greedy removal order, as the report lists it; the truck factor is
+    its length."""
+
+    removed: list[RemovedAuthor]
     initial_coverage: float
     file_universe_size: int
 
@@ -57,7 +49,7 @@ def truck_factor(
         author_map.all_files()
     )
     if not files:
-        return TruckFactorResult(0, [], 0.0, 0)
+        return TruckFactorResult([], 0.0, 0)
     holders = Counter(f for authored in author_map.entries.values() for f in authored)
     covered = len(files & holders.keys())
     initial = covered / len(files)
@@ -65,7 +57,7 @@ def truck_factor(
         author_map.entries.items(),
         key=lambda entry: (-len(entry[1]), entry[0].canonical_name),
     )
-    removed: list[RemovalStep] = []
+    removed: list[RemovedAuthor] = []
     for departing, authored in order:
         if covered / len(files) < threshold:
             break
@@ -73,5 +65,7 @@ def truck_factor(
             holders[f] -= 1
             if not holders[f] and f in files:
                 covered -= 1
-        removed.append(RemovalStep(departing, len(authored), covered / len(files)))
-    return TruckFactorResult(len(removed), removed, initial, len(files))
+        removed.append(
+            RemovedAuthor(departing.canonical_name, len(authored), covered / len(files))
+        )
+    return TruckFactorResult(removed, initial, len(files))

@@ -19,7 +19,6 @@ import tempfile
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain
 from pathlib import Path
 from typing import (
@@ -50,12 +49,6 @@ except ImportError:  # not a POSIX system
     fcntl = None  # type: ignore[assignment]
 
 
-class ChangeKind(Enum):
-    ADDITION = "A"
-    MODIFICATION = "M"
-    RENAME = "R"
-
-
 @dataclass(frozen=True)
 class ChangeEvent:
     """One (commit, file) change."""
@@ -63,18 +56,19 @@ class ChangeEvent:
     commit_id: str
     author: RawUser
     path: str
-    kind: ChangeKind
+    kind: str
     old_path: str | None = None
 
 
 class Commit(NamedTuple):
     """One non-merge commit as ``git log`` prints it: its id, its author and
-    its A/M/R changes in git's order, each as (kind, path, old path). Only a
-    rename has an old path."""
+    its changes in git's order, each as (kind, path, old path). The kind is
+    git's status letter: "A" (added), "M" (modified) or "R" (renamed). Only
+    a rename has an old path."""
 
     commit_id: str
     author: RawUser
-    changes: list[tuple[ChangeKind, str, str | None]]
+    changes: list[tuple[str, str, str | None]]
 
 
 @dataclass
@@ -120,6 +114,18 @@ _PINNED_CONFIG = (
 # write and wake its reader once per commit.
 _GIT_ENV = {"GIT_NO_LAZY_FETCH": "1", "GIT_FLUSH": "0"}
 
+# Variables that point git at a repository other than the one it runs in.
+# git exports GIT_DIR and GIT_WORK_TREE to its hooks (githooks(5)), so a run
+# started from a hook would otherwise analyze the hook's repository.
+_REPOSITORY_VARIABLES = ("GIT_DIR", "GIT_WORK_TREE", "GIT_COMMON_DIR")
+
+
+def git_env() -> dict[str, str]:
+    """A copy of this process's environment without the variables that would
+    point git at another repository."""
+    return {k: v for k, v in os.environ.items() if k not in _REPOSITORY_VARIABLES}
+
+
 # How much of git's output one read may return.
 _CHUNK_BYTES = 1 << 16
 
@@ -138,15 +144,15 @@ def start_git(
 ) -> subprocess.Popen[bytes]:
     """Start one git command in ``repo_path``, with the pinned config, its
     stdout a pipe and its stderr going to ``stderr``. ``env`` replaces this
-    process's environment when given, and ``stdin`` is passed to
-    :class:`subprocess.Popen` as it is. Either environment gets
-    ``GIT_NO_LAZY_FETCH=1``, so git never fetches a missing object, and
-    ``GIT_FLUSH=0``."""
+    process's environment when given; otherwise git gets :func:`git_env`.
+    ``stdin`` is passed to :class:`subprocess.Popen` as it is. Either
+    environment gets ``GIT_NO_LAZY_FETCH=1``, so git never fetches a missing
+    object, and ``GIT_FLUSH=0``."""
     try:
         return subprocess.Popen(
             ["git", *_PINNED_CONFIG, *args],
             cwd=str(repo_path),
-            env={**(os.environ if env is None else env), **_GIT_ENV},
+            env={**(git_env() if env is None else env), **_GIT_ENV},
             stdin=stdin,
             stdout=subprocess.PIPE,
             stderr=stderr,
@@ -282,9 +288,6 @@ def list_snapshot_files(
     return sorted(path for path in files if not rules.matches(path))
 
 
-_STATUS_KINDS = {"A": ChangeKind.ADDITION, "M": ChangeKind.MODIFICATION}
-
-
 def _fields(chunks: Iterable[bytes]) -> Iterator[list[str]]:
     """The NUL-separated fields of a byte stream arriving in chunks cut
     anywhere. Each chunk is cut at its last NUL, where no UTF-8 character
@@ -324,18 +327,17 @@ def parse_log(chunks: Iterable[bytes]) -> Iterator[Commit]:
         if email is None:
             raise GitInvocationFailed("git log", f"truncated commit {commit_id!r}")
         email, _, status = email.partition("\n")
-        changes: list[tuple[ChangeKind, str, str | None]] = []
+        changes: list[tuple[str, str, str | None]] = []
         while status:
+            kind = status[0]
             path = next(fields, "")
-            new_path = next(fields, "") if status[0] in "RC" else path
+            new_path = next(fields, "") if kind in "RC" else path
             if not (path and new_path):
                 raise GitInvocationFailed(
                     "git log", f"malformed change {status!r} in {commit_id}"
                 )
-            if status[0] == "R":
-                changes.append((ChangeKind.RENAME, new_path, path))
-            elif kind := _STATUS_KINDS.get(status[0]):
-                changes.append((kind, path, None))
+            if kind in "AMR":
+                changes.append((kind, new_path, path if kind == "R" else None))
             status = next(fields, "")
         author = users.get((name, email))
         if author is None:
@@ -450,11 +452,11 @@ def trace_files(commits: Iterable[Commit], targets: Iterable[str]) -> list[FileT
             if trace is not None:
                 deliveries = trace.deliveries
                 deliveries[author] = deliveries.get(author, 0) + 1
-                if kind is ChangeKind.ADDITION:
+                if kind == "A":
                     trace.creator = author
                     trace.creating_commit = commit_id
                     del live[path]
-            if kind is ChangeKind.RENAME:
+            if kind == "R":
                 if trace is not None:
                     del live[path]
                     live[old_path] = trace

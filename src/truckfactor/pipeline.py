@@ -25,7 +25,6 @@ from .report import (
     AliasCandidate,
     BlameAgreement,
     MigrationSummary,
-    RemovedAuthor,
     Report,
 )
 
@@ -115,7 +114,7 @@ def _changed_path_graph(
     git_dir = revision.git_dir
     with tempfile.TemporaryDirectory() as tmp:
         tmp = os.path.abspath(tmp)  # git runs in another directory
-        env = dict(os.environ)
+        env = history.git_env()
         with suppress(GitInvocationFailed):  # then blame as without the graph
             objects = history.run_git(git_dir, ["rev-parse", "--git-path", "objects"])
             alternates = [_alternate(os.path.join(git_dir, objects[:-1]))]
@@ -232,7 +231,7 @@ def run(config: AnalysisConfig) -> Report:
     result = estimate.truck_factor(
         author_map, threshold=config.coverage, universe=universe
     )
-    low_initial = result.tf == 0 and result.initial_coverage < config.coverage
+    low_initial = not result.removed and result.initial_coverage < config.coverage
 
     warnings: list[str] = []
     migration = (
@@ -277,18 +276,11 @@ def run(config: AnalysisConfig) -> Report:
         head_commit=revision.commit,
         thresholds={"k": config.k, "m": config.m, "coverage": config.coverage},
         universe=config.universe,
-        truck_factor=result.tf,
+        truck_factor=len(result.removed),
         initial_coverage=result.initial_coverage,
         file_universe_size=result.file_universe_size,
         low_initial_coverage=low_initial,
-        removed=[
-            RemovedAuthor(
-                developer=step.developer.canonical_name,
-                authored_files=step.files_authored,
-                coverage_after=step.coverage_after,
-            )
-            for step in result.removed
-        ],
+        removed=result.removed,
         author_ratio=len(author_map.entries) / len(developers),
         totals=totals,
         migration=migration,

@@ -96,7 +96,7 @@ def expected_report(commits, final, k=0.75, m=3.293, universe="authored"):
     authored = defaultdict(set)
     for path, identity in final.items():
         events = [e for _, es in commits for e in es if e[4] == identity]
-        creator = next(developer[e[0]] for e in events if e[1].value == "A")
+        creator = next(developer[e[0]] for e in events if e[1] == "A")
         changes = Counter(developer[e[0]] for e in events)
         scores = {
             dev: (int(dev == creator), dl, len(events) - dl)

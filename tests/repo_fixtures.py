@@ -12,7 +12,6 @@ import os
 import subprocess
 from pathlib import Path
 
-from truckfactor.history import ChangeKind
 from truckfactor.identity import RawUser
 
 _EPOCH = 1577836800  # 2020-01-01T00:00:00Z
@@ -398,7 +397,7 @@ def import_plan(
                 present[name] = present.pop(old)
                 touched.update((old, name))
                 stream += b"R %s %s\n" % (_quoted(old), _quoted(name))
-                changes.append((author, ChangeKind.RENAME, name, old, present[name]))
+                changes.append((author, "R", name, old, present[name]))
                 continue
             elif op == "delete" and existing:
                 name = existing[pick % len(existing)]
@@ -416,7 +415,7 @@ def import_plan(
                 len(content),
                 content.encode(),
             )
-            kind = ChangeKind.ADDITION if edits[uid] == 0 else ChangeKind.MODIFICATION
+            kind = "A" if edits[uid] == 0 else "M"
             changes.append((author, kind, name, None, uid))
         planned.append((author, changes))
     init = ["git", "init", "-q", "--bare", "-b", "main", f"--object-format={object_format}"]

@@ -116,7 +116,7 @@ def test_greedy_estimator_matches_naive_simulation():
                 for i in range(rng.randint(1, 8))
             }
             expected = _naive_truck_factor(entries)
-            actual = truck_factor(_as_author_map(entries)).tf
+            actual = len(truck_factor(_as_author_map(entries)).removed)
             if actual != expected:
                 failures.append(f"case {case}: got {actual}, naive says {expected}: {entries}")
                 break

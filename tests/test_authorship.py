@@ -18,7 +18,6 @@ from truckfactor.authorship import (
 )
 from truckfactor.errors import BlameFailed
 from truckfactor.history import (
-    ChangeKind,
     Commit,
     FileTrace,
     Revision,
@@ -44,7 +43,7 @@ def make_trace(path, *steps):
     for order, (name, kind) in reversed(list(enumerate(steps))):
         user = RawUser(name, f"{name.lower()}@example.com")
         alias_map[user] = DeveloperId(name, frozenset({user}))
-        old = at + "~" if kind is ChangeKind.RENAME else None
+        old = at + "~" if kind == "R" else None
         newest_first.append(Commit(f"c{order}", user, [(kind, at, old)]))
         at = old or at
     (trace,) = trace_files(newest_first, [path])
@@ -115,9 +114,9 @@ def counts(records):
 def test_accumulate_sole_contributor():
     trace, alias_map = make_trace(
         "f.py",
-        ("Ann", ChangeKind.ADDITION),
-        ("Ann", ChangeKind.MODIFICATION),
-        ("Ann", ChangeKind.MODIFICATION),
+        ("Ann", "A"),
+        ("Ann", "M"),
+        ("Ann", "M"),
     )
     assert score_trace(trace, alias_map) == [
         AuthorshipRecord(dev("Ann"), "f.py", 1, 3, 0, doa(1, 3, 0), 1.0)
@@ -127,9 +126,9 @@ def test_accumulate_sole_contributor():
 def test_accumulate_splits_deliveries_and_acceptances():
     trace, alias_map = make_trace(
         "f.py",
-        ("Xena", ChangeKind.ADDITION),
-        ("Yuri", ChangeKind.MODIFICATION),
-        ("Yuri", ChangeKind.MODIFICATION),
+        ("Xena", "A"),
+        ("Yuri", "M"),
+        ("Yuri", "M"),
     )
     assert counts(score_trace(trace, alias_map)) == [
         (dev("Xena"), 1, 1, 2),
@@ -145,8 +144,8 @@ def test_accumulate_splits_deliveries_and_acceptances():
 def test_accumulate_counts_renames_as_changes():
     trace, alias_map = make_trace(
         "new.py",
-        ("Xena", ChangeKind.ADDITION),
-        ("Yuri", ChangeKind.RENAME),
+        ("Xena", "A"),
+        ("Yuri", "R"),
     )
     assert counts(score_trace(trace, alias_map)) == [
         (dev("Xena"), 1, 1, 1),
@@ -157,8 +156,8 @@ def test_accumulate_counts_renames_as_changes():
 def test_accumulate_incomplete_trace_assigns_no_first_authorship():
     trace, alias_map = make_trace(
         "f.py",
-        ("Xena", ChangeKind.MODIFICATION),
-        ("Yuri", ChangeKind.MODIFICATION),
+        ("Xena", "M"),
+        ("Yuri", "M"),
     )
     assert [(r.fa, r.dl, r.ac) for r in score_trace(trace, alias_map)] == [
         (0, 1, 1),
@@ -175,10 +174,10 @@ def test_accumulate_credits_the_addition_that_starts_the_trace():
     # creates it, and the older file's changes are not part of the trace.
     trace, alias_map = make_trace(
         "f.py",
-        ("Xena", ChangeKind.ADDITION),
-        ("Xena", ChangeKind.MODIFICATION),
-        ("Yuri", ChangeKind.ADDITION),
-        ("Xena", ChangeKind.MODIFICATION),
+        ("Xena", "A"),
+        ("Xena", "M"),
+        ("Yuri", "A"),
+        ("Xena", "M"),
     )
     assert counts(score_trace(trace, alias_map)) == [
         (dev("Xena"), 0, 1, 1),
@@ -197,7 +196,7 @@ def test_accumulate_conserves_change_counts(steps):
     trace, alias_map = make_trace(
         "f.py",
         *[
-            (name, ChangeKind.ADDITION if is_add else ChangeKind.MODIFICATION)
+            (name, "A" if is_add else "M")
             for name, is_add in steps
         ],
     )
@@ -225,7 +224,7 @@ def test_a_warm_table_scores_like_a_fresh_one(files):
         trace, alias_map = make_trace(
             "f.py",
             *[
-                (name, ChangeKind.ADDITION if is_add else ChangeKind.MODIFICATION)
+                (name, "A" if is_add else "M")
                 for name, is_add in steps
             ],
         )
@@ -246,9 +245,9 @@ def crowded_trace(path):
 def test_normalize_scales_against_file_maximum():
     trace, alias_map = make_trace(
         "f.py",
-        ("Xena", ChangeKind.ADDITION),
-        ("Yuri", ChangeKind.MODIFICATION),
-        ("Yuri", ChangeKind.MODIFICATION),
+        ("Xena", "A"),
+        ("Yuri", "M"),
+        ("Yuri", "M"),
     )
     xena, yuri = score_trace(trace, alias_map)
     assert (xena.doa_abs, yuri.doa_abs) == (doa(1, 1, 2), doa(0, 2, 1))
@@ -258,8 +257,8 @@ def test_normalize_scales_against_file_maximum():
 def test_normalize_gives_tied_top_scores_one():
     trace, alias_map = make_trace(
         "f.py",
-        ("Xena", ChangeKind.MODIFICATION),
-        ("Yuri", ChangeKind.MODIFICATION),
+        ("Xena", "M"),
+        ("Yuri", "M"),
     )
     assert [r.doa_norm for r in score_trace(trace, alias_map)] == [1.0, 1.0]
 
@@ -275,10 +274,10 @@ def test_normalize_zeroes_out_non_positive_maxima():
 def test_select_authors_applies_both_thresholds():
     trace, alias_map = make_trace(
         "f3.py",
-        ("Alice", ChangeKind.ADDITION),
-        ("Bob", ChangeKind.MODIFICATION),
-        ("Bob", ChangeKind.MODIFICATION),
-        ("Bob", ChangeKind.MODIFICATION),
+        ("Alice", "A"),
+        ("Bob", "M"),
+        ("Bob", "M"),
+        ("Bob", "M"),
     )
     records = score_trace(trace, alias_map)
     author_map = select_authors(records)
@@ -295,8 +294,8 @@ def test_select_authors_normalized_top_still_needs_absolute_floor():
     # Two tied changes and no known creator: both score ~3.23, below m.
     trace, alias_map = make_trace(
         "f.py",
-        ("Xena", ChangeKind.MODIFICATION),
-        ("Yuri", ChangeKind.MODIFICATION),
+        ("Xena", "M"),
+        ("Yuri", "M"),
     )
     records = score_trace(trace, alias_map)
     assert [r.doa_norm for r in records] == [1.0, 1.0]

@@ -1,7 +1,11 @@
+import dataclasses
 import json
 
+import pytest
+
 import repo_fixtures as rf
-from truckfactor.cli import main
+from truckfactor.cli import build_parser, main
+from truckfactor.pipeline import AnalysisConfig
 
 
 def test_text_output_and_success_exit(single_author_repo, capfd):
@@ -149,3 +153,23 @@ def test_a_file_recreated_at_a_deleted_path_starts_a_new_history(tmp_path, capfd
     assert main([str(builder.path), "--format", "json"]) == 0
     report = json.loads(capfd.readouterr().out)
     assert [(r["developer"], r["authored_files"]) for r in report["removed"]] == [("Bob", 1)]
+
+
+def test_every_argument_but_the_output_options_is_a_config_field():
+    args = vars(build_parser().parse_args(["r"]))
+    del args["output_format"], args["fail_under"]
+    assert args.keys() == {field.name for field in dataclasses.fields(AnalysisConfig)}
+    assert AnalysisConfig(**args) == AnalysisConfig(repo_path="r")
+
+
+@pytest.mark.parametrize("variable", ["GIT_DIR", "GIT_COMMON_DIR"])
+def test_an_inherited_repository_variable_does_not_redirect_the_analysis(
+    variable, single_author_repo, two_author_repo, monkeypatch, capfd
+):
+    # git exports GIT_DIR to its hooks, so a run from a hook inherits it.
+    argv = [str(single_author_repo.path), "--blame-compare", "--format", "json"]
+    assert main(argv) == 0
+    alone = capfd.readouterr().out
+    monkeypatch.setenv(variable, str(two_author_repo.path / ".git"))
+    assert main(argv) == 0
+    assert capfd.readouterr().out == alone

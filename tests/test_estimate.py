@@ -53,7 +53,7 @@ def test_coverage_counts_covered_fraction():
 def test_coverage_of_empty_map_is_zero():
     result = truck_factor(AuthorFileMap({}), universe={"f1"})
     assert result.initial_coverage == 0.0
-    assert result.tf == 0
+    assert len(result.removed) == 0
 
 
 def test_coverage_counts_shared_files_once():
@@ -71,8 +71,8 @@ def test_coverage_ignores_files_outside_the_universe():
 
 def test_truck_factor_two_overlapping_authors():
     result = truck_factor(make_map({"alice": {"f1", "f2", "f3"}, "bob": {"f3", "f4"}}))
-    assert result.tf == 2
-    assert [(s.developer.canonical_name, s.files_authored, s.coverage_after) for s in result.removed] == [
+    assert len(result.removed) == 2
+    assert [(s.developer, s.authored_files, s.coverage_after) for s in result.removed] == [
         ("alice", 3, 0.5),
         ("bob", 2, 0.0),
     ]
@@ -83,28 +83,28 @@ def test_truck_factor_two_overlapping_authors():
 def test_truck_factor_dominant_author_falls_fast():
     entries = {"a": {f"f{i}" for i in range(6)}, "b": {"f6", "f7"}, "c": {"f8"}}
     result = truck_factor(make_map(entries))
-    assert result.tf == 1
-    assert result.removed[0].developer.canonical_name == "a"
+    assert len(result.removed) == 1
+    assert result.removed[0].developer == "a"
     assert result.removed[0].coverage_after == pytest.approx(3 / 9)
 
 
 def test_truck_factor_removes_the_smallest_name_among_equal_counts():
     author_map = make_map({"bob": {"f1", "f2"}, "alice": {"f3", "f4"}, "carl": {"f5"}})
     result = truck_factor(author_map, threshold=0.1)
-    assert [s.developer.canonical_name for s in result.removed] == ["alice", "bob", "carl"]
+    assert [s.developer for s in result.removed] == ["alice", "bob", "carl"]
 
 
 def test_truck_factor_disjoint_single_files():
     entries = {name: {f"f_{name}"} for name in ["a", "b", "c", "d"]}
     result = truck_factor(make_map(entries))
-    assert result.tf == 3
-    assert [s.developer.canonical_name for s in result.removed] == ["a", "b", "c"]
+    assert len(result.removed) == 3
+    assert [s.developer for s in result.removed] == ["a", "b", "c"]
     assert [s.coverage_after for s in result.removed] == [0.75, 0.5, 0.25]
 
 
 def test_truck_factor_empty_map():
     result = truck_factor(AuthorFileMap({}))
-    assert result.tf == 0
+    assert len(result.removed) == 0
     assert result.removed == []
     assert result.initial_coverage == 0.0
     assert result.file_universe_size == 0
@@ -114,17 +114,17 @@ def test_truck_factor_with_explicit_universe():
     author_map = make_map({"a": {"f1"}})
     at_the_edge = truck_factor(author_map, universe={"f1", "f2"})
     assert at_the_edge.initial_coverage == 0.5
-    assert at_the_edge.tf == 1  # 0.5 is not below the threshold
+    assert len(at_the_edge.removed) == 1  # 0.5 is not below the threshold
     below = truck_factor(author_map, universe={"f1", "f2", "f3"})
     assert below.initial_coverage == pytest.approx(1 / 3)
-    assert below.tf == 0
+    assert len(below.removed) == 0
     assert below.file_universe_size == 3
 
 
 def test_truck_factor_respects_custom_threshold():
     entries = {name: {f"f_{name}"} for name in ["a", "b", "c", "d"]}
     result = truck_factor(make_map(entries), threshold=0.9)
-    assert result.tf == 1  # after one removal coverage is 0.75 < 0.9
+    assert len(result.removed) == 1  # after one removal coverage is 0.75 < 0.9
 
 
 def test_truck_factor_does_not_mutate_its_input():
@@ -148,7 +148,7 @@ def test_truck_factor_matches_naive_simulation_on_random_maps():
         entries = _random_entries(rng)
         expected = naive_truck_factor(entries)
         result = truck_factor(make_map(entries))
-        assert result.tf == expected, entries
+        assert len(result.removed) == expected, entries
 
 
 def test_truck_factor_matches_naive_simulation_with_explicit_universe():
@@ -159,7 +159,7 @@ def test_truck_factor_matches_naive_simulation_with_explicit_universe():
         universe = set(rng.sample([f"f{i}" for i in range(12)], rng.randint(1, 12)))
         expected = naive_truck_factor(entries, universe=universe)
         result = truck_factor(make_map(entries), universe=universe)
-        assert result.tf == expected, (entries, universe)
+        assert len(result.removed) == expected, (entries, universe)
 
 
 @given(st.dictionaries(
@@ -170,7 +170,7 @@ def test_truck_factor_matches_naive_simulation_with_explicit_universe():
 ))
 def test_truck_factor_removal_is_greedy_prefix(entries):
     result = truck_factor(make_map(entries))
-    assert result.tf <= len(entries)
+    assert len(result.removed) <= len(entries)
     universe = set()
     for files in entries.values():
         universe |= files
@@ -187,9 +187,9 @@ def test_truck_factor_removal_is_greedy_prefix(entries):
     for step in result.removed:
         assert covered_fraction(remaining) >= 0.5
         biggest = max(len(files) for files in remaining.values())
-        assert step.files_authored == biggest
-        assert len(remaining[step.developer.canonical_name]) == biggest
-        del remaining[step.developer.canonical_name]
+        assert step.authored_files == biggest
+        assert len(remaining[step.developer]) == biggest
+        del remaining[step.developer]
     # And the stop was honest: either everyone was removed, or coverage fell.
     if remaining:
         assert covered_fraction(remaining) < 0.5

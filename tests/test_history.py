@@ -16,7 +16,6 @@ from truckfactor import history
 from truckfactor.errors import EmptyRepository, GitInvocationFailed, NotARepository
 from truckfactor.filters import FilterRules
 from truckfactor.history import (
-    ChangeKind,
     Commit,
     FileTrace,
     Revision,
@@ -165,7 +164,7 @@ def test_resolve_revision_detects_shallow_clones(tmp_path, two_author_repo):
 def test_history_yields_additions_oldest_first(single_author_repo):
     events = collect_history(resolve_revision(single_author_repo.path))
     assert [e.path for e in events] == ["src/f1.py", "src/f2.py", "src/f3.py"]
-    assert all(e.kind is ChangeKind.ADDITION for e in events)
+    assert all(e.kind == "A" for e in events)
     assert [e.commit_id for e in events] == single_author_repo.git(
         "rev-list", "--reverse", "HEAD"
     ).split()
@@ -177,9 +176,9 @@ def test_history_records_renames_with_old_path(rename_repo):
     events = collect_history(resolve_revision(rename_repo.path))
     assert len(events) == 2
     addition, rename = events
-    assert addition.kind is ChangeKind.ADDITION
+    assert addition.kind == "A"
     assert addition.path == "src/original.py"
-    assert rename.kind is ChangeKind.RENAME
+    assert rename.kind == "R"
     assert rename.path == "src/renamed.py"
     assert rename.old_path == "src/original.py"
     assert rename.author == RawUser("Dave", "dave@example.com")
@@ -199,19 +198,14 @@ def test_history_drops_deletions(tmp_path):
     builder.git("commit", "-q", "-m", "remove", user=rf.ALICE)
     builder.commit_file("f.txt", "v2\n", "re-add", rf.BOB)
     events = collect_history(resolve_revision(builder.path))
-    assert [e.kind for e in events] == [ChangeKind.ADDITION, ChangeKind.ADDITION]
+    assert [e.kind for e in events] == ["A", "A"]
     assert [e.author.name for e in events] == ["Alice", "Bob"]
 
 
 def test_history_counts_modifications(two_author_repo):
     events = collect_history(resolve_revision(two_author_repo.path))
     f3 = [e for e in events if e.path == "f3.py"]
-    assert [e.kind for e in f3] == [
-        ChangeKind.ADDITION,
-        ChangeKind.MODIFICATION,
-        ChangeKind.MODIFICATION,
-        ChangeKind.MODIFICATION,
-    ]
+    assert [e.kind for e in f3] == ["A", "M", "M", "M"]
 
 
 def test_a_git_that_cannot_start_is_named_as_such(
@@ -319,7 +313,7 @@ def test_a_full_stderr_does_not_stall_the_log(fake_git, single_author_repo):
     began = time.monotonic()
     (commit,) = read_log(revision)
     assert time.monotonic() - began < 10  # git was never blocked on stderr
-    addition = (ChangeKind.ADDITION, "a.py", None)
+    addition = ("A", "a.py", None)
     assert commit == Commit("c" * 40, RawUser("Cy", "c@x"), [addition])
 
 
@@ -424,8 +418,8 @@ def test_history_reads_a_sha256_repository(tmp_path):
     builder = rf.rename_repo(tmp_path / "sha256", object_format="sha256")
     events = collect_history(resolve_revision(builder.path))
     assert [(e.kind, e.path, e.old_path) for e in events] == [
-        (ChangeKind.ADDITION, "src/original.py", None),
-        (ChangeKind.RENAME, "src/renamed.py", "src/original.py"),
+        ("A", "src/original.py", None),
+        ("R", "src/renamed.py", "src/original.py"),
     ]
     assert events[1].commit_id == builder.head()
     assert len(builder.head()) == 64
@@ -450,22 +444,23 @@ def test_non_utf8_names_stay_distinct(latin1_repo):
 def test_history_reads_the_record_grammar():
     a, b, c = "a" * 64, "b" * 40, "c" * 64
     # Newest first: a copy and a rename, an empty commit by an unnamed
-    # author, then an addition, a deletion and a modification. "Zo\u00eb"
-    # is two bytes in UTF-8; "\udce9" stands for the lone byte 0xE9.
+    # author, then an addition, a deletion, a type change and a
+    # modification. Only A, M and R are kept. "Zo\u00eb" is two bytes in
+    # UTF-8; "\udce9" stands for the lone byte 0xE9.
     out = (
         f"\0{c}\0Zo\u00eb\0c@x\nC075\0src.py\0copy.py\0R100\0old.py\0new.py\0"
         f"\0\0{b}\0\0b@x"
-        f"\0\0{a}\0An\0a@x\nA\0caf\udce9.py\0D\0gone.py\0M\0src.py\0"
+        f"\0\0{a}\0An\0a@x\nA\0caf\udce9.py\0D\0gone.py\0T\0link.py\0M\0src.py\0"
     ).encode("utf-8", "surrogateescape")
     want = [
-        Commit(c, RawUser("Zo\u00eb", "c@x"), [(ChangeKind.RENAME, "new.py", "old.py")]),
+        Commit(c, RawUser("Zo\u00eb", "c@x"), [("R", "new.py", "old.py")]),
         Commit(b, RawUser("", "b@x"), []),
         Commit(
             a,
             RawUser("An", "a@x"),
             [
-                (ChangeKind.ADDITION, "caf\udce9.py", None),
-                (ChangeKind.MODIFICATION, "src.py", None),
+                ("A", "caf\udce9.py", None),
+                ("M", "src.py", None),
             ],
         ),
     ]
@@ -518,11 +513,11 @@ def test_history_and_snapshot_round_trip_through_fast_import(commits):
         snapshot = list_snapshot_files(revision, FilterRules(builtin_vendored=[]))
     position = {commit_id: i for i, commit_id in enumerate(ids)}
     got = [
-        (position[e.commit_id], e.author, e.kind.value, e.path, e.old_path)
+        (position[e.commit_id], e.author, e.kind, e.path, e.old_path)
         for e in events
     ]
     want = [
-        (i, author, kind.value, path, old_path)
+        (i, author, kind, path, old_path)
         for i, (_, changes) in enumerate(planned)
         for author, kind, path, old_path, _ in changes
     ]
@@ -573,7 +568,7 @@ def test_traces_hold_exactly_the_changes_of_each_file(commits):
             for author, kind, _, _, identity in planned_changes
             if identity == final[trace.current_path]
         ]
-        (creation,) = [c for c in changes if c[2] is ChangeKind.ADDITION]
+        (creation,) = [c for c in changes if c[2] == "A"]
         assert trace.deliveries == Counter(author for _, author, _ in changes)
         assert (trace.creating_commit, trace.creator) == creation[:2]
         assert trace.complete
@@ -638,7 +633,7 @@ def test_each_change_is_delivered_to_one_trace(two_author_repo):
 
 
 def test_single_import_commit_is_suspicious():
-    traces = [_trace_of(f"f{i}.py", ("c0", ChangeKind.ADDITION)) for i in range(10)]
+    traces = [_trace_of(f"f{i}.py", ("c0", "A")) for i in range(10)]
     verdict = check_migration(traces)
     assert verdict.suspicious
     assert verdict.fraction_covered == 1.0
@@ -647,7 +642,7 @@ def test_single_import_commit_is_suspicious():
 
 def test_organic_growth_is_not_suspicious():
     traces = [
-        _trace_of(f"f{i}.py", (f"c{i}", ChangeKind.ADDITION)) for i in range(100)
+        _trace_of(f"f{i}.py", (f"c{i}", "A")) for i in range(100)
     ]
     verdict = check_migration(traces)
     assert not verdict.suspicious
@@ -659,9 +654,9 @@ def test_concentrated_additions_are_suspicious():
     traces = []
     for commit in range(5):  # five commits add 12 files each
         for i in range(12):
-            traces.append(_trace_of(f"big{commit}_{i}.py", (f"c{commit}", ChangeKind.ADDITION)))
+            traces.append(_trace_of(f"big{commit}_{i}.py", (f"c{commit}", "A")))
     for i in range(40):  # forty more files, one commit each
-        traces.append(_trace_of(f"slow{i}.py", (f"s{i}", ChangeKind.ADDITION)))
+        traces.append(_trace_of(f"slow{i}.py", (f"s{i}", "A")))
     verdict = check_migration(traces)
     assert verdict.suspicious
     assert verdict.fraction_covered == pytest.approx(0.6)
@@ -671,7 +666,7 @@ def test_concentrated_additions_are_suspicious():
 def test_migration_check_handles_no_traces_and_no_additions():
     assert check_migration([]) == MigrationSummary(checked=True)
     assert check_migration([FileTrace("f.py")]) == MigrationSummary(checked=True)
-    incomplete = [_trace_of("f.py", ("c1", ChangeKind.MODIFICATION))]
+    incomplete = [_trace_of("f.py", ("c1", "M"))]
     verdict = check_migration(incomplete)
     assert not verdict.suspicious
     assert verdict.adding_commits == 0

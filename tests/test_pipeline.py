@@ -493,6 +493,25 @@ def test_blames_read_a_temporary_object_directory_ahead_of_the_repositorys(
     assert not Path(graph).exists()
 
 
+def test_blames_read_the_graph_without_an_inherited_git_dir(
+    tmp_path, monkeypatch, two_author_repo
+):
+    other = rf.single_author_repo(tmp_path / "other")
+    monkeypatch.setenv("GIT_DIR", str(other.path / ".git"))
+    real_blame_rank = authorship.blame_rank
+    envs = []
+
+    def spy(*args, env, **kwargs):
+        envs.append(env)
+        return real_blame_rank(*args, env=env, **kwargs)
+
+    monkeypatch.setattr(authorship, "blame_rank", spy)
+    config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
+    assert run(config).blame_agreement.blame_failures == 0
+    assert envs
+    assert all(env is not None and "GIT_DIR" not in env for env in envs)
+
+
 def _bloom_answers(trace: Path) -> list[int]:
     """How many Bloom filter queries each traced blame answered "no"."""
     events = map(json.loads, trace.read_text().splitlines())
