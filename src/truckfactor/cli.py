@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 when ``--fail-under`` is given and the estimate
-falls below it (the report is still printed), 2 on any analysis error.
+falls below it (the report is still printed), 2 on any analysis error or
+when the report cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import TruckFactorError
@@ -127,8 +129,17 @@ def main(argv: list[str] | None = None) -> int:
     except (TruckFactorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.buffer.write(emit(report, output_format))
-    sys.stdout.buffer.flush()
+    try:
+        sys.stdout.buffer.write(emit(report, output_format))
+        sys.stdout.buffer.flush()
+    except OSError as exc:
+        # The unwritten bytes stay buffered; with stdout on the null device,
+        # the interpreter's last flush cannot fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     if fail_under is not None and report.truck_factor < fail_under:
         print(
             f"truck factor {report.truck_factor} is below the required "

@@ -181,7 +181,9 @@ def load_alias_overrides(path: str | Path) -> dict[str, str]:
 
     One ``<email-or-name> => <canonical name>`` rule per line; blank lines
     and ``#`` comments are ignored, and so is a leading byte-order mark.
-    Keys are matched case-insensitively against both emails and names.
+    Keys are matched case-insensitively against both emails and names. A
+    key in angle brackets, as ``git shortlog -e`` prints an email, loses
+    them: ``<a@x>`` matches the email ``a@x``.
     """
     overrides: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8-sig")
@@ -191,6 +193,8 @@ def load_alias_overrides(path: str | Path) -> dict[str, str]:
             continue
         key, sep, target = line.partition("=>")
         key, target = key.strip(), target.strip()
+        if key[:1] == "<" and key[-1:] == ">":
+            key = key[1:-1].strip()
         if not sep or not key or not target:
             raise ValueError(
                 f"{path}:{lineno}: expected '<email-or-name> => <canonical name>', got {raw!r}"

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repo_fixtures as rf
+import truckfactor
 from truckfactor.cli import build_parser, main
 from truckfactor.pipeline import AnalysisConfig
 
@@ -173,3 +178,24 @@ def test_an_inherited_repository_variable_does_not_redirect_the_analysis(
     monkeypatch.setenv(variable, str(two_author_repo.path / ".git"))
     assert main(argv) == 0
     assert capfd.readouterr().out == alone
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("extra", [[], ["--fail-under", "1000"]])
+def test_a_report_that_cannot_be_written_exits_2(extra, single_author_repo):
+    # Exit 1 is kept for a missed --fail-under bound.
+    package_root = Path(truckfactor.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "truckfactor.cli", str(single_author_repo.path), *extra],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            check=False,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith("error: cannot write the report: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

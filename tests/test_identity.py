@@ -350,3 +350,22 @@ def test_override_file_ignores_a_leading_byte_order_mark(tmp_path):
     rules = tmp_path / "aliases.txt"
     rules.write_bytes(b"\xef\xbb\xbfa@x => Bob\n")
     assert load_alias_overrides(rules) == {"a@x": "Bob"}
+
+
+def test_an_override_key_in_angle_brackets_matches_the_email(tmp_path):
+    # git shortlog -e prints emails in brackets, as "Ann <a@x>".
+    rules = tmp_path / "aliases.txt"
+    rules.write_text("<A@x> => Bob\n< b@y > => Bob\n", encoding="utf-8")
+    overrides = load_alias_overrides(rules)
+    assert overrides == {"a@x": "Bob", "b@y": "Bob"}
+    ann, bea = RawUser("Ann", "a@x"), RawUser("Bea", "b@y")
+    mapping = resolve_aliases([ann, bea], overrides=overrides)
+    assert mapping[ann] == mapping[bea]
+    assert mapping[ann].canonical_name == "Bob"
+
+
+def test_an_override_key_of_empty_brackets_is_rejected(tmp_path):
+    rules = tmp_path / "aliases.txt"
+    rules.write_text("<> => Bob\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="aliases.txt:1"):
+        load_alias_overrides(rules)
