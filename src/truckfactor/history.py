@@ -94,9 +94,17 @@ class FileTrace:
 # commit's additions, prints no signature verdicts and names authors in
 # UTF-8; rename detection is never skipped for a large change; and blame
 # reads no mailmap, since log's %an never does (a bare repository would
-# otherwise read HEAD:.mailmap). The last two change only speed: git reads
-# a commit-graph and its changed-path Bloom filters, such as the one that
-# --blame-compare writes, even where the config turns them off.
+# otherwise read HEAD:.mailmap). The last three change only speed and
+# memory: git reads a commit-graph and its changed-path Bloom filters, such
+# as the one that --blame-compare writes, even where the config turns them
+# off; and git keeps at most 32 MiB of inflated delta bases, not its default
+# 96 MiB. git log and the commit-graph write walk every commit's tree once,
+# newest first, and reuse few of them. With git 2.39.5 the cap lowered git
+# log's peak RSS from 80.7 to 65.0 MiB on the deep-history benchmark, and
+# from 175.9 to 102.0 MiB on a 60,000-commit history, with its CPU time
+# within noise; 48 MiB saved nothing on deep-history. Other commands hold
+# less: each blame of the audit benchmark peaked at 17.2 MiB, so the cap did
+# not bind there (see the README's caveats).
 _PINNED_CONFIG = (
     "-c", "log.showRoot=true",
     "-c", "log.showSignature=false",
@@ -106,17 +114,8 @@ _PINNED_CONFIG = (
     "-c", "mailmap.blob=",
     "-c", "core.commitGraph=true",
     "-c", "commitGraph.readChangedPaths=true",
+    "-c", "core.deltaBaseCacheLimit=32m",
 )
-
-# Settings for the two commands that walk every commit's tree once, newest
-# first: git log and the commit-graph write of --blame-compare. git keeps up
-# to core.deltaBaseCacheLimit (96 MiB by default) of inflated delta bases,
-# and such a walk reuses few of them. With git 2.39.5, a 32 MiB cap lowered
-# git log's peak RSS from 80.7 to 65.0 MiB on the deep-history benchmark,
-# and from 175.9 to 102.0 MiB on a 60,000-commit history, with its CPU time
-# within noise; 48 MiB saved nothing on deep-history. Blame reads whole file
-# versions, not trees, and keeps git's default (see the README's caveats).
-WALK_CONFIG = ("core.deltaBaseCacheLimit=32m",)
 
 # Set in every git's environment. A partial clone then fails on a missing
 # object instead of fetching it from its promisor remote. And git fills its
@@ -151,20 +150,16 @@ def start_git(
     stderr: int | IO[bytes],
     env: Mapping[str, str] | None = None,
     stdin: int | None = None,
-    *,
-    config: Sequence[str] = (),
 ) -> subprocess.Popen[bytes]:
     """Start one git command in ``repo_path``, with the pinned config, its
     stdout a pipe and its stderr going to ``stderr``. ``env`` replaces this
     process's environment when given; otherwise git gets :func:`git_env`.
     ``stdin`` is passed to :class:`subprocess.Popen` as it is. Either
     environment gets ``GIT_NO_LAZY_FETCH=1``, so git never fetches a missing
-    object, and ``GIT_FLUSH=0``. Each ``name=value`` in ``config`` is passed
-    with ``-c`` after the pinned config, ahead of ``args``."""
-    settings = [arg for setting in config for arg in ("-c", setting)]
+    object, and ``GIT_FLUSH=0``."""
     try:
         return subprocess.Popen(
-            ["git", *_PINNED_CONFIG, *settings, *args],
+            ["git", *_PINNED_CONFIG, *args],
             cwd=str(repo_path),
             env={**(git_env() if env is None else env), **_GIT_ENV},
             stdin=stdin,
@@ -197,14 +192,12 @@ def run_git(
     *,
     env: Mapping[str, str] | None = None,
     input: bytes | None = None,
-    config: Sequence[str] = (),
 ) -> str:
     """Run one git command in ``repo_path`` and return its stdout.
 
-    ``env``, when given, is git's whole environment, ``input``, when given,
-    is written to git's stdin, and ``config`` goes to :func:`start_git`.
-    Raises :class:`PartialClone` or :class:`GitInvocationFailed` when git
-    fails.
+    ``env``, when given, is git's whole environment, and ``input``, when
+    given, is written to git's stdin. Raises :class:`PartialClone` or
+    :class:`GitInvocationFailed` when git fails.
 
     Every output is decoded here, once, as UTF-8 with ``surrogateescape``:
     bytes that are not UTF-8 (a Latin-1 path or author name) become lone
@@ -214,9 +207,7 @@ def run_git(
     blame`` prints it) must not become a line break.
     """
     stdin = None if input is None else subprocess.PIPE
-    with start_git(
-        repo_path, args, subprocess.PIPE, env, stdin, config=config
-    ) as proc:
+    with start_git(repo_path, args, subprocess.PIPE, env, stdin) as proc:
         out, err = proc.communicate(input)
     if proc.returncode != 0:
         raise _failure(repo_path, args, err.decode("utf-8", "replace").strip())
@@ -397,7 +388,7 @@ def _log(revision: Revision) -> Generator[Commit | None, None, None]:
         "--pretty=format:%x00%H%x00%an%x00%ae",
     ]
     with tempfile.TemporaryFile() as errors:
-        proc = start_git(revision.git_dir, args, errors, config=WALK_CONFIG)
+        proc = start_git(revision.git_dir, args, errors)
         stdout = proc.stdout
         at_end = False
 

@@ -132,11 +132,7 @@ def _changed_path_graph(
                 f"--object-dir={tmp}",
             ]
             history.run_git(
-                git_dir,
-                args,
-                env=env,
-                input=f"{revision.commit}\n".encode(),
-                config=history.WALK_CONFIG,
+                git_dir, args, env=env, input=f"{revision.commit}\n".encode()
             )
         written = os.path.isfile(os.path.join(tmp, "info", "commit-graph"))
         yield env if written else None

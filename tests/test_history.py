@@ -283,8 +283,8 @@ def fake_git(tmp_path, monkeypatch):
     started = []
     real_start_git = history.start_git
 
-    def spy(*args, **kwargs):
-        started.append(real_start_git(*args, **kwargs))
+    def spy(*args):
+        started.append(real_start_git(*args))
         return started[-1]
 
     def install(body):

@@ -230,11 +230,11 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
     real_start_git = history.start_git
     real_run_git = history.run_git
 
-    def spy(repo_path, args, stderr, *rest, **kwargs):
+    def spy(repo_path, args, stderr, *rest):
         with lock:
             calls.append(list(args))
             first = len(calls) == 1
-        proc = real_start_git(repo_path, args, stderr, *rest, **kwargs)
+        proc = real_start_git(repo_path, args, stderr, *rest)
         if first:  # the branch moves right after it was resolved
             proc.wait()  # rev-parse prints three short lines
             two_author_repo.commit_file("late.py", "late\n", "late", rf.CAROL)
@@ -258,31 +258,18 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
     assert all(head in args for args in calls[1:3] + calls[5:])
 
 
-def test_only_the_two_whole_history_walks_cap_the_delta_base_cache(
-    monkeypatch, two_author_repo
-):
-    # git log and the commit-graph write walk every commit's tree; blame
-    # reads whole file versions and keeps git's default cache.
+def test_every_git_command_caps_the_delta_base_cache(monkeypatch, two_author_repo):
     argvs = []
-    settings = defaultdict(set)
     lock = threading.Lock()
     real_start_git = history.start_git
-    real_run_git = history.run_git
 
-    def spy(*args, **kwargs):
-        proc = real_start_git(*args, **kwargs)
+    def spy(*args):
+        proc = real_start_git(*args)
         with lock:
             argvs.append(proc.args)
         return proc
 
-    def run_git_spy(repo_path, args, **kwargs):
-        with lock:
-            settings[args[0]].add(tuple(kwargs.get("config", ())))
-        return real_run_git(repo_path, args, **kwargs)
-
     monkeypatch.setattr(history, "start_git", spy)
-    monkeypatch.setattr(history, "run_git", run_git_spy)
-    monkeypatch.setattr(authorship, "run_git", run_git_spy)
     run(AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True))
     caches = defaultdict(set)
     for argv in argvs:
@@ -296,21 +283,9 @@ def test_only_the_two_whole_history_walks_cap_the_delta_base_cache(
         )
         caches[argv[end]].add(limits)
     capped = {("core.deltaBaseCacheLimit=32m",)}
-    assert caches == {
-        "rev-parse": {()},
-        "log": capped,
-        "ls-tree": {()},
-        "commit-graph": capped,
-        "blame": {()},
-    }
-    # The setting reaches git through the keyword, so args[0] stays the
-    # subcommand; git log is started by start_git alone.
-    assert settings == {
-        "rev-parse": {()},
-        "ls-tree": {()},
-        "commit-graph": capped,
-        "blame": {()},
-    }
+    assert caches == dict.fromkeys(
+        ["rev-parse", "log", "ls-tree", "commit-graph", "blame"], capped
+    )
 
 
 def test_gitlinks_are_neither_counted_nor_blamed(gitlink_repo):
