@@ -2,7 +2,9 @@
 
 Each builder in ``repo_fixtures`` (SHA-1 only; the SHA-256 repositories are
 compared with the SHA-1 ones elsewhere) runs through the CLI with
-``--format json`` and each option set in ``OPTIONS``. The exit code and the
+``--format json`` and each option set in ``OPTIONS``, and with
+``--format text`` and each option set in ``TEXT_OPTIONS``, the sections
+that only those options add to the text report. The exit code and the
 SHA-256 of stdout must match ``oracle_digests.json``. A refactor leaves the
 table as it is. A change meant to alter the report re-records it::
 
@@ -30,7 +32,13 @@ OPTIONS = ((), ("--blame-compare",), ("--alias-report",), ("--universe", "all-fi
 BUILDERS = sorted(
     name for name, value in inspect.getmembers(rf, inspect.isfunction) if name.endswith("_repo")
 )
+TEXT_OPTIONS = (("--blame-compare",), ("--alias-report",))
 CASES = [" ".join((name, *options)) for name in BUILDERS for options in OPTIONS]
+TEXT_CASES = [
+    " ".join((name, "--format", "text", *options))
+    for name in BUILDERS
+    for options in TEXT_OPTIONS
+]
 
 
 def build_all(directory: Path) -> None:
@@ -41,7 +49,8 @@ def build_all(directory: Path) -> None:
 
 def run_case(case: str) -> tuple[int, bytes]:
     """The CLI's exit code and stdout for one case, run in the directory
-    that holds the repositories, so the report names each by its builder."""
+    that holds the repositories, so the report names each by its builder.
+    A ``--format`` in the case overrides the leading ``--format json``."""
     name, *options = case.split(" ")
     out = io.BytesIO()
     stdout = io.TextIOWrapper(out)  # the CLI writes bytes to its buffer, ``out``
@@ -62,15 +71,24 @@ def repositories(tmp_path_factory):
 
 
 def test_the_table_holds_every_case():
-    assert sorted(json.loads(TABLE.read_text())) == sorted(CASES)
+    assert sorted(json.loads(TABLE.read_text())) == sorted(CASES + TEXT_CASES)
+
+
+def check_case(case: str, directory: Path, monkeypatch) -> None:
+    monkeypatch.chdir(directory)
+    code, out = run_case(case)
+    expected = json.loads(TABLE.read_text()).get(case)
+    assert record(code, out) == expected, out.decode("utf-8", "replace")
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_json_report_matches_the_table(case, repositories, monkeypatch):
-    monkeypatch.chdir(repositories)
-    code, out = run_case(case)
-    expected = json.loads(TABLE.read_text()).get(case)
-    assert record(code, out) == expected, out.decode("utf-8", "replace")
+    check_case(case, repositories, monkeypatch)
+
+
+@pytest.mark.parametrize("case", TEXT_CASES)
+def test_text_report_matches_the_table(case, repositories, monkeypatch):
+    check_case(case, repositories, monkeypatch)
 
 
 if __name__ == "__main__":
@@ -82,7 +100,7 @@ if __name__ == "__main__":
         cwd = os.getcwd()
         os.chdir(scratch)
         try:
-            for case in CASES:
+            for case in CASES + TEXT_CASES:
                 table[case] = record(*run_case(case))
         finally:
             os.chdir(cwd)
