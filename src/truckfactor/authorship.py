@@ -9,8 +9,7 @@ else) — and the counts feed a degree-of-authorship score:
 :func:`score_trace` counts, scores and normalizes one file in one pass:
 each score is divided by the file's maximum, so the top contributor sits at
 1.0 whenever that maximum is positive. Files repeat few distinct counts, so
-one run looks every score up in one :class:`DoaTable`. A developer authors
-a file when the normalized score strictly exceeds ``k`` and the absolute
+:func:`doa` keeps every score it computes. A developer authors a file when the normalized score strictly exceeds ``k`` and the absolute
 score is at least ``m``. The defaults for ``k`` and ``m`` are the
 empirically calibrated values.
 """
@@ -21,6 +20,7 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BlameFailed, GitInvocationFailed
@@ -56,6 +56,7 @@ class AuthorFileMap:
 
     entries: dict[DeveloperId, set[str]] = field(default_factory=dict)
 
+    # Read only by perfbench/tracer.py; see ROADMAP item 3.
     def all_files(self) -> set[str]:
         out: set[str] = set()
         for files in self.entries.values():
@@ -63,8 +64,10 @@ class AuthorFileMap:
         return out
 
 
+@cache
 def doa(fa: int, dl: int, ac: int) -> float:
-    """Degree-of-authorship score for one developer on one file."""
+    """Degree-of-authorship score for one developer on one file. The weights
+    are fixed, so each ``(fa, dl, ac)`` is computed once per process."""
     return (
         DOA_INTERCEPT
         + DOA_FIRST_AUTHORSHIP_WEIGHT * fa
@@ -73,26 +76,12 @@ def doa(fa: int, dl: int, ac: int) -> float:
     )
 
 
-class DoaTable(dict[tuple[int, int, int], float]):
-    """:func:`doa` of each ``(fa, dl, ac)`` key, computed at its first lookup
-    and kept. One run's files share few distinct keys, so a table that
-    lives for the run computes each score once; the scores are the same
-    floats :func:`doa` returns."""
-
-    def __missing__(self, key: tuple[int, int, int]) -> float:
-        score = self[key] = doa(*key)
-        return score
-
-
 def score_trace(
-    trace: FileTrace,
-    alias_map: Mapping[RawUser, DeveloperId],
-    scores: DoaTable | None = None,
+    trace: FileTrace, alias_map: Mapping[RawUser, DeveloperId]
 ) -> list[AuthorshipRecord]:
     """Score one file's trace: one record per developer who changed the
     file, sorted by canonical name, with ties in the order their users first
-    appear in ``trace.deliveries``. Each score is looked up in ``scores``,
-    a fresh :class:`DoaTable` when none is given.
+    appear in ``trace.deliveries``.
 
     Every change in the trace is one delivery for its developer, and one
     acceptance for everyone else who touched the file. First authorship
@@ -106,15 +95,13 @@ def score_trace(
         deliveries[alias_map[user]] += count
     creator = alias_map[trace.creator] if trace.creator is not None else None
     total = sum(deliveries.values())
-    if scores is None:
-        scores = DoaTable()
     counts = [
         (dev, (int(dev == creator), dl, total - dl))
         for dev, dl in sorted(
             deliveries.items(), key=lambda kv: kv[0].canonical_name
         )
     ]
-    doas = [scores[key] for _, key in counts]
+    doas = [doa(*key) for _, key in counts]
     top = max(doas, default=0.0)
     return [
         AuthorshipRecord(

@@ -45,12 +45,12 @@ def truck_factor(
     canonical name. A per-file count of remaining authors tells when a file
     loses its last one.
     """
-    files = frozenset(universe) if universe is not None else frozenset(
-        author_map.all_files()
-    )
+    holders = Counter(f for authored in author_map.entries.values() for f in authored)
+    # The authored files are the counter's keys; a count that falls to zero
+    # keeps its key.
+    files = frozenset(universe) if universe is not None else holders.keys()
     if not files:
         return TruckFactorResult([], 0.0, 0)
-    holders = Counter(f for authored in author_map.entries.values() for f in authored)
     covered = len(files & holders.keys())
     initial = covered / len(files)
     order = sorted(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -110,18 +109,10 @@ def load_pattern_file(path: str | Path) -> list[str]:
     return _parse_lines(Path(path).read_text(encoding="utf-8-sig"))
 
 
-@lru_cache(maxsize=1)
-def _builtin_text() -> str:
-    return (
-        resources.files(__package__)
-        .joinpath("data/vendored_patterns.txt")
-        .read_text(encoding="utf-8")
-    )
-
-
 def builtin_patterns() -> list[str]:
     """The glob patterns shipped with the package."""
-    return _parse_lines(_builtin_text())
+    data = resources.files(__package__).joinpath("data/vendored_patterns.txt")
+    return _parse_lines(data.read_text(encoding="utf-8"))
 
 
 @dataclass

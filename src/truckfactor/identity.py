@@ -33,6 +33,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
+from .report import AliasCandidate
+
 
 class RawUser(NamedTuple):
     """One (name, email) pair exactly as it appears in the commit metadata."""
@@ -163,17 +165,18 @@ def resolve_aliases(
     return mapping
 
 
-def name_merge_candidates(users: Iterable[RawUser]) -> list[tuple[RawUser, RawUser]]:
-    """The distance-one name pairs that automatic resolution would merge.
+def name_merge_candidates(users: Iterable[RawUser]) -> list[AliasCandidate]:
+    """The distance-one name pairs that automatic resolution would merge,
+    as the report lists them.
 
-    Returns one representative user per folded name, the smallest, so
-    reviewers can judge the merges that :func:`resolve_aliases` applies by
-    default.
+    Each pair names one representative user per folded name, the smallest,
+    so reviewers can judge the merges that :func:`resolve_aliases` applies
+    by default.
     """
     first: dict[str, RawUser] = {}
     for user in sorted(set(users)):
         first.setdefault(fold_name(user.name), user)
-    return [(first[a], first[b]) for a, b in _close_name_pairs(first)]
+    return [AliasCandidate(*first[a], *first[b]) for a, b in _close_name_pairs(first)]
 
 
 def load_alias_overrides(path: str | Path) -> dict[str, str]:

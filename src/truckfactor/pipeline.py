@@ -20,13 +20,7 @@ from typing import Iterable, Iterator
 from . import authorship, estimate, history, identity
 from .errors import BlameFailed, GitInvocationFailed
 from .filters import FilterRules, load_pattern_file
-from .report import (
-    SCHEMA_VERSION,
-    AliasCandidate,
-    BlameAgreement,
-    MigrationSummary,
-    Report,
-)
+from .report import SCHEMA_VERSION, BlameAgreement, MigrationSummary, Report
 
 BLAME_SAMPLE_SIZE = 120
 
@@ -219,11 +213,8 @@ def run(config: AnalysisConfig) -> Report:
     )
 
     # Scored one file at a time, so no more than one file's records are held.
-    scores = authorship.DoaTable()
     records = (
-        record
-        for trace in traces
-        for record in authorship.score_trace(trace, alias_map, scores)
+        record for trace in traces for record in authorship.score_trace(trace, alias_map)
     )
     author_map = authorship.select_authors(records, k=config.k, m=config.m)
 
@@ -285,13 +276,6 @@ def run(config: AnalysisConfig) -> Report:
         totals=totals,
         migration=migration,
         blame_agreement=blame,
-        alias_candidates=(
-            [
-                AliasCandidate(a.name, a.email, b.name, b.email)
-                for a, b in candidates
-            ]
-            if candidates is not None
-            else None
-        ),
+        alias_candidates=candidates,
         warnings=warnings,
     )

@@ -10,7 +10,6 @@ import repo_fixtures as rf
 from truckfactor import authorship
 from truckfactor.authorship import (
     AuthorshipRecord,
-    DoaTable,
     blame_rank,
     doa,
     score_trace,
@@ -90,11 +89,12 @@ def test_doa_monotonic_in_others_changes(fa, dl, ac):
 
 
 @given(fa_flag, counts, counts)
-def test_the_doa_table_holds_what_doa_returns(fa, dl, ac):
-    table = DoaTable()
-    assert table[fa, dl, ac] == doa(fa, dl, ac)
-    assert table[fa, dl, ac] == doa(fa, dl, ac)  # now read back, not computed
-    assert list(table) == [(fa, dl, ac)]
+def test_doa_returns_the_cached_score(fa, dl, ac):
+    doa.cache_clear()
+    score = doa(fa, dl, ac)
+    assert doa(fa, dl, ac) is score  # now read back, not computed
+    assert doa.cache_info().hits == 1
+    assert score == doa.__wrapped__(fa, dl, ac)
 
 
 @given(counts, counts)
@@ -218,17 +218,16 @@ def test_accumulate_conserves_change_counts(steps):
         max_size=8,
     )
 )
-def test_a_warm_table_scores_like_a_fresh_one(files):
-    table = DoaTable()  # shared by every file, as one run shares it
-    for steps in files:
-        trace, alias_map = make_trace(
-            "f.py",
-            *[
-                (name, "A" if is_add else "M")
-                for name, is_add in steps
-            ],
-        )
-        assert score_trace(trace, alias_map, table) == score_trace(trace, alias_map)
+def test_a_warm_cache_scores_like_a_cold_one(files):
+    traces = [
+        make_trace("f.py", *[(name, "A" if is_add else "M") for name, is_add in steps])
+        for steps in files
+    ]
+    doa.cache_clear()
+    warm = [score_trace(*trace) for trace in traces]  # warmed file by file, as in one run
+    for trace, scored in zip(traces, warm):
+        doa.cache_clear()
+        assert score_trace(*trace) == scored
 
 
 # --- score_trace: normalizing, and select_authors ----------------------------

@@ -12,6 +12,7 @@ from truckfactor.identity import (
     name_merge_candidates,
     resolve_aliases,
 )
+from truckfactor.report import AliasCandidate
 
 
 def partition(mapping):
@@ -248,7 +249,7 @@ def test_name_merge_candidates_lists_close_pairs():
     ]
     pairs = name_merge_candidates(users)
     assert len(pairs) == 1
-    names = {pairs[0][0].name, pairs[0][1].name}
+    names = {pairs[0].name_a, pairs[0].name_b}
     assert names == {"Bob.Rob", "Bob Rob"}
 
 
@@ -271,7 +272,7 @@ def test_name_merge_candidates_equal_the_all_pairs_reference(users):
         by_name.setdefault(fold_name(user.name), user)
     names = sorted(by_name, key=lambda name: (len(name), name))
     expected = [
-        (by_name[a], by_name[b])
+        AliasCandidate(*by_name[a], *by_name[b])
         for i, a in enumerate(names)
         for b in names[i + 1 :]
         if levenshtein(a, b) == 1

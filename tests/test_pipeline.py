@@ -87,6 +87,18 @@ def test_reports_are_deterministic(two_author_repo):
     assert emit(first, "json") == emit(second, "json")
 
 
+def test_a_second_run_scores_from_the_cache_and_reports_like_the_first(
+    two_author_repo,
+):
+    config = AnalysisConfig(repo_path=str(two_author_repo.path))
+    authorship.doa.cache_clear()
+    first = emit(run(config), "json")
+    computed = authorship.doa.cache_info().misses
+    assert computed > 0
+    assert emit(run(config), "json") == first
+    assert authorship.doa.cache_info().misses == computed
+
+
 def test_commits_that_add_nothing_still_count(tmp_path):
     builder = rf.RepoBuilder(tmp_path / "quiet")
     builder.write("a.py", "a\n")
