@@ -9,9 +9,10 @@ else) — and the counts feed a degree-of-authorship score:
 :func:`score_trace` counts, scores and normalizes one file in one pass:
 each score is divided by the file's maximum, so the top contributor sits at
 1.0 whenever that maximum is positive. Files repeat few distinct counts, so
-:func:`doa` keeps every score it computes. A developer authors a file when the normalized score strictly exceeds ``k`` and the absolute
-score is at least ``m``. The defaults for ``k`` and ``m`` are the
-empirically calibrated values.
+:func:`doa` keeps every score it computes. A developer authors a file when
+the normalized score strictly exceeds ``k`` and the absolute score is at
+least ``m``. The defaults for ``k`` and ``m`` are the empirically
+calibrated values.
 """
 
 from __future__ import annotations

@@ -19,6 +19,27 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
+
+
+def _class_members(chars: str) -> str:
+    """The members of a bracket class as the body of a regex set.
+
+    Each ``x-y`` stays a range and every character is escaped, as in
+    :mod:`fnmatch`, so ``[``, ``&``, ``~``, ``|`` and a ``-`` that ends no
+    range match themselves: never a nested set, nor a set operation such as
+    ``&&`` that the ``re`` module warns it may give a meaning.
+    """
+    out: list[str] = []
+    k = 0
+    while k < len(chars):
+        if k + 2 < len(chars) and chars[k + 1] == "-":
+            out.append(f"{re.escape(chars[k])}-{re.escape(chars[k + 2])}")
+            k += 3
+        else:
+            out.append(re.escape(chars[k]))
+            k += 1
+    return "".join(out)
 
 
 def _translate_segment(segment: str) -> str:
@@ -43,10 +64,9 @@ def _translate_segment(segment: str) -> str:
             if j >= len(segment):
                 out.append(re.escape("["))
             else:
-                inner = segment[i + 1 : j].replace("\\", "\\\\")
-                if inner.startswith("!"):
-                    inner = "^" + inner[1:]
-                out.append(f"(?!/)[{inner}]")
+                negate = segment[i + 1] in "!^"
+                members = _class_members(segment[i + 1 + negate : j])
+                out.append(f"(?!/)[{'^' * negate}{members}]")
                 i = j
         else:
             out.append(re.escape(ch))
@@ -63,7 +83,8 @@ def _normalize_glob(pattern: str) -> str:
     return pattern
 
 
-# Only tests call this: the per-pattern reference for FilterRules' combined regexes.
+# The per-pattern reference for FilterRules' combined regexes, and the check
+# of each pattern a pattern file gives.
 def compile_glob(pattern: str) -> re.Pattern[str]:
     """Compile one ignore-style glob into a regex over relative paths.
 
@@ -93,26 +114,45 @@ def _path_regex(pattern: str) -> str:
     return regex
 
 
-def _parse_lines(text: str) -> list[str]:
-    entries = []
-    for line in text.split("\n"):
+def _entries(text: str) -> Iterator[tuple[int, str]]:
+    """The numbered lines of ``text``, stripped, without blank lines and
+    ``#`` comments."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            entries.append(line)
-    return entries
+            yield lineno, line
+
+
+def load_path_file(path: str | Path) -> list[str]:
+    """Read explicit paths from a file: one per line, ``#`` comments and
+    blank lines skipped, UTF-8 with or without a byte-order mark."""
+    return [line for _, line in _entries(Path(path).read_text(encoding="utf-8-sig"))]
 
 
 def load_pattern_file(path: str | Path) -> list[str]:
-    """Read glob patterns or explicit paths from a file: one per line,
-    ``#`` comments and blank lines skipped, UTF-8 with or without a
-    byte-order mark."""
-    return _parse_lines(Path(path).read_text(encoding="utf-8-sig"))
+    """Read glob patterns from a file in the format of :func:`load_path_file`.
+
+    Raises ``ValueError`` naming the file and line of the first pattern that
+    is not a glob: an empty one such as ``/``, or a class with a reversed
+    range such as ``[z-a]``.
+    """
+    patterns = []
+    for lineno, line in _entries(Path(path).read_text(encoding="utf-8-sig")):
+        try:
+            compile_glob(line)
+        except (ValueError, re.error) as exc:
+            # re.error's position counts in the regex, not in the glob
+            reason = exc.msg if isinstance(exc, re.error) else exc
+            message = f"{path}:{lineno}: invalid glob {line!r}: {reason}"
+            raise ValueError(message) from exc
+        patterns.append(line)
+    return patterns
 
 
 def builtin_patterns() -> list[str]:
     """The glob patterns shipped with the package."""
     data = resources.files(__package__).joinpath("data/vendored_patterns.txt")
-    return _parse_lines(data.read_text(encoding="utf-8"))
+    return [line for _, line in _entries(data.read_text(encoding="utf-8"))]
 
 
 @dataclass

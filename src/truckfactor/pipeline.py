@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from . import authorship, estimate, history, identity
 from .errors import BlameFailed, GitInvocationFailed
-from .filters import FilterRules, load_pattern_file
+from .filters import FilterRules, load_path_file, load_pattern_file
 from .report import SCHEMA_VERSION, BlameAgreement, MigrationSummary, Report
 
 BLAME_SAMPLE_SIZE = 120
@@ -57,7 +57,7 @@ def _validate(config: AnalysisConfig) -> None:
 
 def _build_rules(config: AnalysisConfig) -> FilterRules:
     globs = load_pattern_file(config.patterns_file) if config.patterns_file else []
-    paths = load_pattern_file(config.ignore_file) if config.ignore_file else []
+    paths = load_path_file(config.ignore_file) if config.ignore_file else []
     return FilterRules(ignore_globs=globs, ignore_paths=paths)
 
 
@@ -214,7 +214,9 @@ def run(config: AnalysisConfig) -> Report:
 
     # Scored one file at a time, so no more than one file's records are held.
     records = (
-        record for trace in traces for record in authorship.score_trace(trace, alias_map)
+        record
+        for trace in traces
+        for record in authorship.score_trace(trace, alias_map)
     )
     author_map = authorship.select_authors(records, k=config.k, m=config.m)
 

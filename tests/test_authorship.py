@@ -224,7 +224,7 @@ def test_a_warm_cache_scores_like_a_cold_one(files):
         for steps in files
     ]
     doa.cache_clear()
-    warm = [score_trace(*trace) for trace in traces]  # warmed file by file, as in one run
+    warm = [score_trace(*trace) for trace in traces]  # warmed file by file, as a run
     for trace, scored in zip(traces, warm):
         doa.cache_clear()
         assert score_trace(*trace) == scored

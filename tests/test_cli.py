@@ -135,6 +135,19 @@ def test_ignore_file_and_patterns_flags(vendored_repo, tmp_path, capfd):
     assert payload["truck_factor"] == 0
 
 
+@pytest.mark.parametrize("line", ["[z-a].py", "[a--b].py", "/"])
+def test_an_invalid_glob_in_a_patterns_file_exits_2(
+    vendored_repo, tmp_path, capfd, line
+):
+    patterns = tmp_path / "extra.txt"
+    patterns.write_text(f"src/**\n{line}\n", encoding="utf-8")
+    code = main([str(vendored_repo.path), "--patterns", str(patterns)])
+    captured = capfd.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {patterns}:2: invalid glob {line!r}: ")
+    assert captured.out == ""
+
+
 def test_alias_file_flag(aliased_repo, tmp_path, capfd):
     rules = tmp_path / "aliases.txt"
     rules.write_text("bob@work.example => Robert\nBob Rob => Robert\n", encoding="utf-8")

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from truckfactor.filters import FilterRules, builtin_patterns, compile_glob, load_pattern_file
+from truckfactor.filters import (
+    FilterRules,
+    builtin_patterns,
+    compile_glob,
+    load_path_file,
+    load_pattern_file,
+)
 
 
 @pytest.mark.parametrize(
@@ -49,6 +55,34 @@ from truckfactor.filters import FilterRules, builtin_patterns, compile_glob, loa
 )
 def test_compile_glob(pattern, path, matches):
     # the per-pattern reference, then the combined regexes that ship
+    assert bool(compile_glob(pattern).match(path)) == matches
+    assert FilterRules(ignore_globs=[pattern], builtin_vendored=[]).matches(path) == matches
+
+
+@pytest.mark.parametrize(
+    "pattern, path, matches",
+    [
+        # '[', '&', '~', '|' and a '-' that ends no range are members of a
+        # class like any other character, never a nested set or set operator
+        ("a[[]b", "a[b", True),
+        ("a[[]b", "a]b", False),
+        ("a[x&&y]b", "a&b", True),
+        ("a[x&&y]b", "ayb", True),
+        ("a[x&&y]b", "azb", False),
+        ("a[x~~]b", "a~b", True),
+        ("a[!x||]b", "a|b", False),
+        ("a[!x||]b", "azb", True),
+        ("a[+--]b", "a,b", True),
+        ("a[+--]b", "a-b", True),
+        ("a[+--]b", "a.b", False),
+        ("a[x-]b", "a-b", True),
+        # a range may start at '-' or ']'
+        ("a[--0]b", "a.b", True),
+        ("a[]-a]b", "a_b", True),
+        ("a[]-a]b", "abb", False),
+    ],
+)
+def test_a_class_matches_its_members_literally(pattern, path, matches):
     assert bool(compile_glob(pattern).match(path)) == matches
     assert FilterRules(ignore_globs=[pattern], builtin_vendored=[]).matches(path) == matches
 
@@ -122,6 +156,22 @@ def test_pattern_file_ignores_a_leading_byte_order_mark(tmp_path):
     assert load_pattern_file(listing) == ["*.py", "build/**"]
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("[z-a].py", "bad character range z-a"),
+        ("[a--b].py", "bad character range"),
+        ("/", "empty glob pattern"),
+    ],
+)
+def test_a_pattern_file_names_the_line_of_an_invalid_glob(tmp_path, line, reason):
+    listing = tmp_path / "patterns.txt"
+    listing.write_text(f"# globs\n*.py\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        load_pattern_file(listing)
+    assert str(caught.value).startswith(f"{listing}:3: invalid glob {line!r}: {reason}")
+
+
 def test_pattern_files_break_lines_only_at_newlines(tmp_path):
     listing = tmp_path / "ignore.txt"
     listing.write_text("docs/a\u2028b.md\r\nsrc/gen\r\n", encoding="utf-8")
@@ -129,6 +179,16 @@ def test_pattern_files_break_lines_only_at_newlines(tmp_path):
     rules = FilterRules(ignore_paths=load_pattern_file(listing), builtin_vendored=[])
     assert rules.matches("docs/a\u2028b.md")
     assert not rules.matches("b.md")
+
+
+def test_a_path_file_keeps_entries_that_are_no_glob(tmp_path):
+    listing = tmp_path / "ignore.txt"
+    listing.write_text("[z-a].py\n/\nsrc/gen\n", encoding="utf-8")
+    assert load_path_file(listing) == ["[z-a].py", "/", "src/gen"]
+    rules = FilterRules(ignore_paths=load_path_file(listing), builtin_vendored=[])
+    assert rules.matches("[z-a].py")
+    assert rules.matches("src/gen/a.py")
+    assert not rules.matches("a.py")  # "/" names no path
 
 
 _PATHS = st.lists(
