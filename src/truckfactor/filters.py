@@ -10,7 +10,8 @@ glob patterns and explicit path prefixes on top.
 Globs follow the familiar ignore-file conventions: a pattern without ``/``
 matches against the basename at any depth, a pattern with ``/`` matches
 against the full repository-relative path, and ``**`` spans any number of
-path segments.
+path segments. An invalid glob, such as an empty one or ``[z-a]``, raises
+``ValueError`` when :class:`FilterRules` is built.
 """
 
 from __future__ import annotations
@@ -28,12 +29,15 @@ def _class_members(chars: str) -> str:
     Each ``x-y`` stays a range and every character is escaped, as in
     :mod:`fnmatch`, so ``[``, ``&``, ``~``, ``|`` and a ``-`` that ends no
     range match themselves: never a nested set, nor a set operation such as
-    ``&&`` that the ``re`` module warns it may give a meaning.
+    ``&&`` that the ``re`` module warns it may give a meaning. Raises
+    ``ValueError`` for a reversed range such as ``z-a``.
     """
     out: list[str] = []
     k = 0
     while k < len(chars):
         if k + 2 < len(chars) and chars[k + 1] == "-":
+            if chars[k] > chars[k + 2]:
+                raise ValueError(f"bad character range {chars[k : k + 3]}")
             out.append(f"{re.escape(chars[k])}-{re.escape(chars[k + 2])}")
             k += 3
         else:
@@ -140,10 +144,8 @@ def load_pattern_file(path: str | Path) -> list[str]:
     for lineno, line in _entries(Path(path).read_text(encoding="utf-8-sig")):
         try:
             compile_glob(line)
-        except (ValueError, re.error) as exc:
-            # re.error's position counts in the regex, not in the glob
-            reason = exc.msg if isinstance(exc, re.error) else exc
-            message = f"{path}:{lineno}: invalid glob {line!r}: {reason}"
+        except ValueError as exc:
+            message = f"{path}:{lineno}: invalid glob {line!r}: {exc}"
             raise ValueError(message) from exc
         patterns.append(line)
     return patterns

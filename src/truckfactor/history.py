@@ -6,9 +6,10 @@ objects git needs raises :class:`PartialClone`. Merge commits are
 suppressed so every change is counted once, on the branch where it was
 made, and renames are detected so a file's history survives being moved.
 :func:`read_log` starts ``git log`` as soon as it is called, so git can
-compute its diffs while the caller lists the snapshot. Every reader takes
-the :class:`Revision` that :func:`resolve_revision` returns, and runs git
-in its git directory at its commit.
+compute its diffs while the caller lists the snapshot, and raises git's
+failure where git's output ends, after the commits read before it. Every
+reader takes the :class:`Revision` that :func:`resolve_revision` returns,
+and runs git in its git directory at its commit.
 """
 
 from __future__ import annotations
@@ -47,17 +48,6 @@ try:
     import fcntl
 except ImportError:  # not a POSIX system
     fcntl = None  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
-class ChangeEvent:
-    """One (commit, file) change."""
-
-    commit_id: str
-    author: RawUser
-    path: str
-    kind: str
-    old_path: str | None = None
 
 
 class Commit(NamedTuple):
@@ -367,8 +357,9 @@ def read_log(revision: Revision) -> Generator[Commit, None, None]:
     git's stderr goes to a temporary file, so it can never fill up while its
     stdout is being read. Closing or dropping the generator, read or not,
     or an error while reading, stops git. When git fails,
-    :class:`PartialClone` or :class:`GitInvocationFailed` carries git's
-    stderr.
+    :class:`PartialClone` or :class:`GitInvocationFailed`, carrying git's
+    stderr, is raised where git's output ends; the commits yielded before
+    it stay valid.
     """
     log = _log(revision)
     next(log)  # runs up to the first yield, just after git started
@@ -389,32 +380,24 @@ def _log(revision: Revision) -> Generator[Commit | None, None, None]:
     ]
     with tempfile.TemporaryFile() as errors:
         proc = start_git(revision.git_dir, args, errors)
-        stdout = proc.stdout
-        at_end = False
 
         def chunks() -> Iterator[bytes]:
-            nonlocal at_end
-            while chunk := stdout.read1(_CHUNK_BYTES):
+            while chunk := proc.stdout.read1(_CHUNK_BYTES):
                 yield chunk
-            at_end = True
+            # raised here, before the parser sees a failed git's cut-off end
+            if proc.wait() != 0:
+                errors.seek(0)
+                message = errors.read().decode("utf-8", "replace").strip()
+                raise _failure(revision.git_dir, args, message)
 
         try:
-            _widen(stdout)
+            _widen(proc.stdout)
             yield None
             yield from parse_log(chunks())
-        except GitInvocationFailed:
-            # git's output can end inside a record when git itself failed.
-            if not at_end or proc.wait() == 0:
-                raise
         finally:
-            if not at_end:
-                proc.kill()
-            stdout.close()
+            proc.kill()  # does nothing once git has been reaped
+            proc.stdout.close()
             proc.wait()
-        if proc.returncode != 0:
-            errors.seek(0)
-            message = errors.read().decode("utf-8", "replace").strip()
-            raise _failure(revision.git_dir, args, message)
 
 
 def _widen(pipe: IO[bytes]) -> None:
@@ -429,15 +412,9 @@ def _widen(pipe: IO[bytes]) -> None:
 
 
 # Kept only because perfbench/tracer.py wraps it; see ROADMAP item 3.
-def collect_history(revision: Revision) -> list[ChangeEvent]:
-    """One ChangeEvent per A/M/R change, oldest commit first: the commits of
-    :func:`read_log` in one list."""
-    commits = list(read_log(revision))
-    return [
-        ChangeEvent(commit_id, author, path, kind, old_path)
-        for commit_id, author, changes in reversed(commits)
-        for kind, path, old_path in changes
-    ]
+def collect_history(revision: Revision) -> list[Commit]:
+    """The commits of :func:`read_log` in one list."""
+    return list(read_log(revision))
 
 
 def trace_files(commits: Iterable[Commit], targets: Iterable[str]) -> list[FileTrace]:

@@ -20,7 +20,7 @@ from truckfactor.history import (
     Commit,
     FileTrace,
     Revision,
-    collect_history,
+    read_log,
     resolve_revision,
     trace_files,
 )
@@ -333,8 +333,8 @@ def test_select_authors_shrinks_as_k_grows(data):
 
 
 def _alias_map_for(repo):
-    events = collect_history(resolve_revision(repo.path))
-    return resolve_aliases({e.author for e in events})
+    commits = read_log(resolve_revision(repo.path))
+    return resolve_aliases({c.author for c in commits})
 
 
 def _blame(repo, file, alias_map, **kwargs):

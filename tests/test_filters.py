@@ -94,6 +94,26 @@ def test_compile_glob_rejects_empty_pattern():
         FilterRules(ignore_globs=["   "], builtin_vendored=[])
 
 
+@pytest.mark.parametrize("glob", ["[z-a].py", "[a--b].py"])
+def test_a_reversed_range_raises_value_error(glob):
+    with pytest.raises(ValueError, match="bad character range"):
+        compile_glob(glob)
+    with pytest.raises(ValueError, match="bad character range"):
+        FilterRules(ignore_globs=[glob], builtin_vendored=[])
+
+
+@given(st.text(alphabet="ab-]![^\\&~|z0.,+*?/"))
+def test_every_glob_compiles_or_raises_value_error_alike(glob):
+    # Neither raises re.error, nor warns: pytest turns warnings into errors.
+    try:
+        compile_glob(glob)
+    except ValueError:
+        with pytest.raises(ValueError):
+            FilterRules(ignore_globs=[glob], builtin_vendored=[])
+    else:
+        FilterRules(ignore_globs=[glob], builtin_vendored=[])
+
+
 def test_explicit_paths_match_exactly_or_as_directory_prefix():
     rules = FilterRules(ignore_paths=["Library/Formula"], builtin_vendored=[])
     assert rules.matches("Library/Formula")

@@ -20,7 +20,6 @@ from truckfactor.history import (
     FileTrace,
     Revision,
     check_migration,
-    collect_history,
     list_snapshot_files,
     parse_log,
     read_log,
@@ -158,37 +157,32 @@ def test_resolve_revision_detects_shallow_clones(tmp_path, two_author_repo):
     assert resolve_revision(clone) == Revision(two_author_repo.head(), True, git_dir)
 
 
-# --- collect_history -------------------------------------------------------
+# --- read_log --------------------------------------------------------------
 
 
 def test_history_yields_additions_oldest_first(single_author_repo):
-    events = collect_history(resolve_revision(single_author_repo.path))
-    assert [e.path for e in events] == ["src/f1.py", "src/f2.py", "src/f3.py"]
-    assert all(e.kind == "A" for e in events)
-    assert [e.commit_id for e in events] == single_author_repo.git(
+    commits = list(read_log(resolve_revision(single_author_repo.path)))[::-1]
+    assert [c.changes for c in commits] == [
+        [("A", f"src/f{i}.py", None)] for i in (1, 2, 3)
+    ]
+    assert [c.commit_id for c in commits] == single_author_repo.git(
         "rev-list", "--reverse", "HEAD"
     ).split()
-    assert events[0].author == RawUser("Alice", "alice@example.com")
-    assert len({e.commit_id for e in events}) == 3
+    assert commits[0].author == RawUser("Alice", "alice@example.com")
 
 
 def test_history_records_renames_with_old_path(rename_repo):
-    events = collect_history(resolve_revision(rename_repo.path))
-    assert len(events) == 2
-    addition, rename = events
-    assert addition.kind == "A"
-    assert addition.path == "src/original.py"
-    assert rename.kind == "R"
-    assert rename.path == "src/renamed.py"
-    assert rename.old_path == "src/original.py"
+    rename, addition = read_log(resolve_revision(rename_repo.path))
+    assert addition.changes == [("A", "src/original.py", None)]
+    assert rename.changes == [("R", "src/renamed.py", "src/original.py")]
     assert rename.author == RawUser("Dave", "dave@example.com")
 
 
 def test_history_excludes_merge_commits(merge_repo):
-    events = collect_history(resolve_revision(merge_repo.path))
-    assert len({e.commit_id for e in events}) == 3
+    commits = list(read_log(resolve_revision(merge_repo.path)))
+    assert len(commits) == 3
     merge_sha = resolve_commit(merge_repo.path)
-    assert merge_sha not in {e.commit_id for e in events}
+    assert merge_sha not in {c.commit_id for c in commits}
 
 
 def test_history_drops_deletions(tmp_path):
@@ -197,15 +191,18 @@ def test_history_drops_deletions(tmp_path):
     builder.git("rm", "-q", "f.txt")
     builder.git("commit", "-q", "-m", "remove", user=rf.ALICE)
     builder.commit_file("f.txt", "v2\n", "re-add", rf.BOB)
-    events = collect_history(resolve_revision(builder.path))
-    assert [e.kind for e in events] == ["A", "A"]
-    assert [e.author.name for e in events] == ["Alice", "Bob"]
+    commits = read_log(resolve_revision(builder.path))
+    assert [(c.author.name, c.changes) for c in commits] == [
+        ("Bob", [("A", "f.txt", None)]),
+        ("Alice", []),
+        ("Alice", [("A", "f.txt", None)]),
+    ]
 
 
 def test_history_counts_modifications(two_author_repo):
-    events = collect_history(resolve_revision(two_author_repo.path))
-    f3 = [e for e in events if e.path == "f3.py"]
-    assert [e.kind for e in f3] == ["A", "M", "M", "M"]
+    commits = read_log(resolve_revision(two_author_repo.path))
+    f3 = [kind for c in commits for kind, path, _ in c.changes if path == "f3.py"]
+    assert f3 == ["M", "M", "M", "A"]
 
 
 def test_a_git_that_cannot_start_is_named_as_such(
@@ -331,6 +328,26 @@ def test_a_malformed_record_stops_git(fake_git, single_author_repo):
     assert log.poll() is not None
 
 
+@pytest.mark.parametrize(
+    "out",
+    ["\\0" + "d" * 40 + "\\0Dee", _RECORD],
+    ids=["truncated-record", "complete-record"],
+)
+def test_a_git_that_fails_raises_its_stderr_where_its_output_ends(
+    fake_git, single_author_repo, out
+):
+    revision = resolve_revision(single_author_repo.path)
+    started = fake_git(
+        f'sys.stdout.write("{out}"); sys.stderr.write("fatal: lost"); sys.exit(1)'
+    )
+    with pytest.raises(GitInvocationFailed) as failure:
+        list(read_log(revision))
+    assert failure.value.command.startswith("git log")
+    assert failure.value.stderr == "fatal: lost"
+    (log,) = started
+    assert log.poll() is not None
+
+
 def test_a_consumer_that_raises_stops_git(fake_git, monkeypatch, single_author_repo):
     started = fake_git(
         f'sys.stdout.write("{_RECORD}"); sys.stdout.flush(); time.sleep(30)'
@@ -416,29 +433,29 @@ def test_a_pipe_that_cannot_be_widened_reads_the_same_log(
 
 def test_history_reads_a_sha256_repository(tmp_path):
     builder = rf.rename_repo(tmp_path / "sha256", object_format="sha256")
-    events = collect_history(resolve_revision(builder.path))
-    assert [(e.kind, e.path, e.old_path) for e in events] == [
-        ("A", "src/original.py", None),
-        ("R", "src/renamed.py", "src/original.py"),
+    commits = list(read_log(resolve_revision(builder.path)))
+    assert [c.changes for c in commits] == [
+        [("R", "src/renamed.py", "src/original.py")],
+        [("A", "src/original.py", None)],
     ]
-    assert events[1].commit_id == builder.head()
+    assert commits[0].commit_id == builder.head()
     assert len(builder.head()) == 64
 
 
 def test_history_keeps_an_author_name_with_a_line_separator(tmp_path):
     builder = rf.RepoBuilder(tmp_path / "u2028")
     builder.commit_file("a.py", "a\n", "add", ("Ann\u2028Lee", "ann@example.com"))
-    (event,) = collect_history(resolve_revision(builder.path))
-    assert event.author == RawUser("Ann\u2028Lee", "ann@example.com")
+    (commit,) = read_log(resolve_revision(builder.path))
+    assert commit.author == RawUser("Ann\u2028Lee", "ann@example.com")
 
 
 def test_non_utf8_names_stay_distinct(latin1_repo):
     names = list(rf.LATIN1_FILES)
     revision = resolve_revision(latin1_repo.path)
     assert list_snapshot_files(revision, FilterRules(builtin_vendored=[])) == names
-    events = collect_history(revision)
-    assert sorted(e.path for e in events) == names
-    assert {e.author for e in events} == {RawUser(*rf.LATIN1_AUTHOR)}
+    commits = list(read_log(revision))
+    assert sorted(path for c in commits for _, path, _ in c.changes) == names
+    assert {c.author for c in commits} == {RawUser(*rf.LATIN1_AUTHOR)}
 
 
 def test_history_reads_the_record_grammar():
@@ -509,12 +526,13 @@ def test_history_and_snapshot_round_trip_through_fast_import(commits):
         planned, final = rf.import_plan(repo, commits)
         ids = rf.commit_ids(repo)
         revision = resolve_revision(repo)
-        events = collect_history(revision)
+        log = list(read_log(revision))[::-1]
         snapshot = list_snapshot_files(revision, FilterRules(builtin_vendored=[]))
     position = {commit_id: i for i, commit_id in enumerate(ids)}
     got = [
-        (position[e.commit_id], e.author, e.kind, e.path, e.old_path)
-        for e in events
+        (position[commit_id], author, kind, path, old_path)
+        for commit_id, author, changes in log
+        for kind, path, old_path in changes
     ]
     want = [
         (i, author, kind, path, old_path)
@@ -620,13 +638,13 @@ def test_traces_come_back_in_target_order(two_author_repo):
 
 def test_each_change_is_delivered_to_one_trace(two_author_repo):
     revision = resolve_revision(two_author_repo.path)
-    events = collect_history(revision)
+    changes = [(c.author, path) for c in read_log(revision) for _, path, _ in c.changes]
     targets = ["f1.py", "f2.py", "f3.py", "f4.py"]
     traces = trace_files(read_log(revision), targets)
     for trace in traces:
-        at_path = [e.author for e in events if e.path == trace.current_path]
+        at_path = [author for author, path in changes if path == trace.current_path]
         assert trace.deliveries == Counter(at_path)
-    assert sum(sum(t.deliveries.values()) for t in traces) == len(events)
+    assert sum(sum(t.deliveries.values()) for t in traces) == len(changes)
 
 
 # --- check_migration -------------------------------------------------------
