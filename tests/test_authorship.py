@@ -387,6 +387,20 @@ def test_blame_rank_keeps_a_lone_carriage_return_inside_its_line(
     )
 
 
+def test_file_content_shaped_like_blame_headers_moves_no_count(tmp_path):
+    builder = rf.RepoBuilder(tmp_path / "forged")
+    lines = ["author Mallory", "author-mail <m@x>", f"{'c' * 40} 1 1 1", "filename x"]
+    builder.commit_file("data.txt", "\n".join(lines) + "\n", "add data", rf.ALICE)
+    lines[2] = f"{'d' * 40} 2 2 2"
+    builder.commit_file("data.txt", "\n".join(lines) + "\n", "edit data", rf.BOB)
+    ranking = _blame(builder, "data.txt", {})
+    assert dict((d.canonical_name, n) for d, n in ranking) == _line_porcelain_counts(
+        builder, "data.txt"
+    )
+    assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 3), ("Bob", 1)]
+    assert not any(u.name == "Mallory" for d, _ in ranking for u in d.members)
+
+
 def test_blame_rank_rejects_lines_of_a_commit_with_no_author(monkeypatch):
     commit = "ab" * 20
     undescribed = f"{commit} 1 1 1\n\tonly line\n"

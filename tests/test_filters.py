@@ -9,6 +9,7 @@ from truckfactor.filters import (
     load_path_file,
     load_pattern_file,
 )
+from truckfactor.identity import load_alias_overrides
 
 
 @pytest.mark.parametrize(
@@ -174,6 +175,26 @@ def test_pattern_file_ignores_a_leading_byte_order_mark(tmp_path):
     listing = tmp_path / "patterns.txt"
     listing.write_bytes(b"\xef\xbb\xbf*.py\nbuild/**\n")
     assert load_pattern_file(listing) == ["*.py", "build/**"]
+
+
+def _side_file(path, lines):
+    """Write ``lines`` as a side file: a byte-order mark, CRLF line endings."""
+    path.write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode())
+    return path
+
+
+def test_the_three_side_file_loaders_read_one_format(tmp_path):
+    lines = ["# rules", "", "  vendor/gen  ", "   ", "\tbuild", "# tail", "docs/*.txt"]
+    entries = ["vendor/gen", "build", "docs/*.txt"]
+    paths = _side_file(tmp_path / "ignore.txt", lines)
+    assert load_path_file(paths) == load_pattern_file(paths) == entries
+    rules = [f"{line} => Someone" if line.strip() in entries else line for line in lines]
+    aliases = _side_file(tmp_path / "aliases.txt", rules)
+    assert list(load_alias_overrides(aliases)) == entries
+    for load, text in ((load_pattern_file, lines), (load_alias_overrides, rules)):
+        text.insert(4, "[z-a]")  # not a glob, and no rule
+        with pytest.raises(ValueError, match=":5: "):
+            load(_side_file(tmp_path / "bad.txt", text))
 
 
 @pytest.mark.parametrize(

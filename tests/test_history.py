@@ -23,7 +23,6 @@ from truckfactor.history import (
     list_snapshot_files,
     parse_log,
     read_log,
-    resolve_commit,
     resolve_revision,
     trace_files,
 )
@@ -91,7 +90,7 @@ def test_library_traces_are_the_same_from_a_subdirectory(single_author_repo):
 
     from_root = traces(single_author_repo.path)
     assert [t.current_path for t in from_root] == ["src/f1.py", "src/f2.py", "src/f3.py"]
-    assert all(t.complete for t in from_root)
+    assert all(t.creating_commit is not None for t in from_root)
     assert traces(single_author_repo.path / "src") == from_root
 
 
@@ -104,8 +103,8 @@ def test_resolve_revision_peels_to_the_full_commit_id(branched_repo):
     git_dir = str((branched_repo.path / ".git").resolve())
     revision = resolve_revision(branched_repo.path, "v1")
     assert revision == Revision(dev_head, False, git_dir)
-    assert resolve_commit(branched_repo.path, "dev") == dev_head
-    assert resolve_commit(branched_repo.path) == branched_repo.head()
+    assert resolve_revision(branched_repo.path, "dev").commit == dev_head
+    assert resolve_revision(branched_repo.path).commit == branched_repo.head()
 
 
 def test_resolve_revision_keeps_its_errors_apart(tmp_path, single_author_repo):
@@ -181,7 +180,7 @@ def test_history_records_renames_with_old_path(rename_repo):
 def test_history_excludes_merge_commits(merge_repo):
     commits = list(read_log(resolve_revision(merge_repo.path)))
     assert len(commits) == 3
-    merge_sha = resolve_commit(merge_repo.path)
+    merge_sha = resolve_revision(merge_repo.path).commit
     assert merge_sha not in {c.commit_id for c in commits}
 
 
@@ -589,7 +588,7 @@ def test_traces_hold_exactly_the_changes_of_each_file(commits):
         (creation,) = [c for c in changes if c[2] == "A"]
         assert trace.deliveries == Counter(author for _, author, _ in changes)
         assert (trace.creating_commit, trace.creator) == creation[:2]
-        assert trace.complete
+        assert trace.creating_commit is not None
 
 
 # --- trace_files -----------------------------------------------------------
@@ -603,7 +602,6 @@ def test_trace_follows_rename_chain(rename_repo):
     assert trace.deliveries == {carol: 1, dave: 1}
     assert trace.creator == carol
     assert trace.creating_commit == rename_repo.git("rev-parse", "HEAD~").strip()
-    assert trace.complete
 
 
 def test_trace_does_not_absorb_a_reused_old_path(tmp_path):
@@ -627,7 +625,7 @@ def test_trace_does_not_absorb_a_reused_old_path(tmp_path):
 def test_trace_of_unknown_target_is_empty_and_incomplete():
     (trace,) = trace_files([], ["ghost.py"])
     assert trace == FileTrace("ghost.py")
-    assert not trace.complete
+    assert trace.creating_commit is None
 
 
 def test_traces_come_back_in_target_order(two_author_repo):

@@ -4,8 +4,9 @@ Each builder in ``repo_fixtures`` (SHA-1 only; the SHA-256 repositories are
 compared with the SHA-1 ones elsewhere) runs through the CLI with
 ``--format json`` and each option set in ``OPTIONS``, and with
 ``--format text`` and each option set in ``TEXT_OPTIONS``, the sections
-that only those options add to the text report. The exit code and the
-SHA-256 of stdout must match ``oracle_digests.json``. A refactor leaves the
+that only those options add to the text report, and with ``--format csv``.
+Two more cases read the side files that ``SIDE_FILES`` lists. The exit code
+and the SHA-256 of stdout must match ``oracle_digests.json``. A refactor leaves the
 table as it is. A change meant to alter the report re-records it::
 
     PYTHONPATH=src python tests/test_oracle.py > tests/oracle_digests.json
@@ -33,18 +34,37 @@ BUILDERS = sorted(
     name for name, value in inspect.getmembers(rf, inspect.isfunction) if name.endswith("_repo")
 )
 TEXT_OPTIONS = (("--blame-compare",), ("--alias-report",))
-CASES = [" ".join((name, *options)) for name in BUILDERS for options in OPTIONS]
+# Each side file in every shape its reader accepts: a byte-order mark, CRLF
+# line endings, comments, blank lines and indented entries.
+SIDE_FILES = {
+    "aliases.txt": [
+        "# Bob's two identities",
+        "",
+        "  <BOB@home.example> => Robert Rob",
+        "\tbob.rob => Robert Rob ",
+    ],
+    "patterns.txt": ["# generated code", "   ", "\t*.py"],
+    "ignore.txt": ["# paths", "", "  src/  "],
+}
+CASES = [" ".join((name, *options)) for name in BUILDERS for options in OPTIONS] + [
+    "aliased_repo --alias-file aliases.txt",
+    "vendored_repo --patterns patterns.txt --ignore-file ignore.txt",
+]
 TEXT_CASES = [
     " ".join((name, "--format", "text", *options))
     for name in BUILDERS
     for options in TEXT_OPTIONS
 ]
+CSV_CASES = [f"{name} --format csv" for name in BUILDERS]
 
 
 def build_all(directory: Path) -> None:
-    """Build every fixture repository under ``directory``, named after its builder."""
+    """Build every fixture repository under ``directory``, named after its
+    builder, and write the side files next to them."""
     for name in BUILDERS:
         getattr(rf, name)(directory / name)
+    for name, lines in SIDE_FILES.items():
+        (directory / name).write_bytes(("\ufeff" + "\r\n".join(lines) + "\r\n").encode())
 
 
 def run_case(case: str) -> tuple[int, bytes]:
@@ -71,7 +91,7 @@ def repositories(tmp_path_factory):
 
 
 def test_the_table_holds_every_case():
-    assert sorted(json.loads(TABLE.read_text())) == sorted(CASES + TEXT_CASES)
+    assert sorted(json.loads(TABLE.read_text())) == sorted(CASES + TEXT_CASES + CSV_CASES)
 
 
 def check_case(case: str, directory: Path, monkeypatch) -> None:
@@ -91,6 +111,11 @@ def test_text_report_matches_the_table(case, repositories, monkeypatch):
     check_case(case, repositories, monkeypatch)
 
 
+@pytest.mark.parametrize("case", CSV_CASES)
+def test_csv_report_matches_the_table(case, repositories, monkeypatch):
+    check_case(case, repositories, monkeypatch)
+
+
 if __name__ == "__main__":
     os.environ["GIT_CONFIG_GLOBAL"] = os.devnull  # as conftest.py sets for the tests
     os.environ["GIT_CONFIG_NOSYSTEM"] = "1"
@@ -100,7 +125,7 @@ if __name__ == "__main__":
         cwd = os.getcwd()
         os.chdir(scratch)
         try:
-            for case in CASES + TEXT_CASES:
+            for case in CASES + TEXT_CASES + CSV_CASES:
                 table[case] = record(*run_case(case))
         finally:
             os.chdir(cwd)
