@@ -33,9 +33,9 @@ DOA_FIRST_AUTHORSHIP_WEIGHT = 1.098
 DOA_DELIVERIES_WEIGHT = 0.164
 DOA_ACCEPTANCES_WEIGHT = 0.321
 
-# The header opening each group of lines in ``git blame --porcelain``:
-# commit id, original line, final line and, at a group's first line, its size.
-_BLAME_HEADER = re.compile(r"([0-9a-f]{40,}) \d+ \d+(?: \d+)?")
+# The header opening each group of lines in ``git blame --incremental``:
+# commit id, original line, final line and the group's size.
+_BLAME_HEADER = re.compile(r"([0-9a-f]{40,}) \d+ (\d+) (\d+)")
 
 
 class AuthorshipRecord(NamedTuple):
@@ -148,44 +148,42 @@ def blame_rank(
     git's whole environment.
 
     This is the independent signal used to sanity-check the change-based
-    scores: surviving lines per developer, from ``git blame --porcelain``.
-    That format names a commit's author only at the first group of lines
-    the commit owns; every later group repeats just the commit id. So the
-    content lines (those starting with a tab) are counted per commit id,
-    and the commits' authors are mapped to developers at the end. Users
-    that blame surfaces but the alias map has never seen (possible: blame
-    can reach commits that merge suppression hid) become singleton
+    scores: surviving lines per developer, from ``git blame --incremental``,
+    which prints no file content. Each group header carries the group's
+    size, but only a commit's first group names its author. So the groups
+    are kept, and mapped to developers in the file's line order at the end.
+    Users that blame surfaces but the alias map has never seen (possible:
+    blame can reach commits that merge suppression hid) become singleton
     developers. Raises :class:`BlameFailed` when git cannot blame the file
     or its output counts lines for a commit it never names an author for.
     """
     # A blame.ignoreRevsFile in the user's config would hand lines to other
     # commits, or fail every blame when the file is missing; no -c value
     # clears it, only --no-ignore-revs-file does.
-    args = ["blame", "--porcelain", "--no-ignore-revs-file", revision.commit]
+    args = ["blame", "--incremental", "--no-ignore-revs-file", revision.commit]
     try:
         out = run_git(revision.git_dir, [*args, "--", file], env=env)
     except GitInvocationFailed as exc:
         raise BlameFailed(f"blame failed for {file}: {exc.stderr or exc}") from exc
-    lines_by_commit: dict[str, int] = defaultdict(int)
+    groups: list[tuple[int, str, int]] = []  # (first line, commit id, size)
     authors: dict[str, RawUser] = {}
     commit = name = ""
     for line in out.split("\n"):
-        if line.startswith("\t"):
-            lines_by_commit[commit] += 1
-        elif header := _BLAME_HEADER.fullmatch(line):
+        if header := _BLAME_HEADER.fullmatch(line):
             commit = header[1]
+            groups.append((int(header[2]), commit, int(header[3])))
         elif line.startswith("author "):
             name = line[len("author ") :]
         elif line.startswith("author-mail "):
             email = line[len("author-mail ") :].strip().strip("<>")
             authors[commit] = RawUser(name, email)
-    missing = lines_by_commit.keys() - authors.keys()
+    missing = {commit for _, commit, _ in groups} - authors.keys()
     if missing:
         raise BlameFailed(f"blame of {file} names no author for {min(missing)!r}")
     counts: dict[DeveloperId, int] = defaultdict(int)
-    for commit, lines in lines_by_commit.items():
+    for _, commit, size in sorted(groups):  # ties below keep the line order
         user = authors[commit]
         developer = alias_map.get(user) or DeveloperId(user.name, frozenset({user}))
-        counts[developer] += lines
+        counts[developer] += size
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0].canonical_name))
 

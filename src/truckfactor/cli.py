@@ -32,25 +32,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--branch",
-        default=None,
         help="branch or revision to analyze (default: HEAD)",
     )
     parser.add_argument(
         "--ignore-file",
-        default=None,
         metavar="FILE",
         help="file listing repository paths to exclude, one per line",
     )
     parser.add_argument(
         "--patterns",
-        default=None,
         dest="patterns_file",
         metavar="FILE",
         help="file of additional exclusion globs, one per line",
     )
     parser.add_argument(
         "--alias-file",
-        default=None,
         metavar="FILE",
         help=(
             "developer alias overrides, one '<email-or-name> => <canonical "
@@ -113,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fail-under",
         type=int,
-        default=None,
         metavar="N",
         help="exit with status 1 when the truck factor is below N",
     )

@@ -118,9 +118,9 @@ def _path_regex(pattern: str) -> str:
     return regex
 
 
-def _entries(text: str) -> Iterator[tuple[int, str]]:
-    """The numbered lines of ``text``, stripped, without blank lines and
-    ``#`` comments."""
+def entries(text: str) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a side file's ``text``, stripped, without blank
+    lines and ``#`` comments."""
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
@@ -130,7 +130,7 @@ def _entries(text: str) -> Iterator[tuple[int, str]]:
 def load_path_file(path: str | Path) -> list[str]:
     """Read explicit paths from a file: one per line, ``#`` comments and
     blank lines skipped, UTF-8 with or without a byte-order mark."""
-    return [line for _, line in _entries(Path(path).read_text(encoding="utf-8-sig"))]
+    return [line for _, line in entries(Path(path).read_text(encoding="utf-8-sig"))]
 
 
 def load_pattern_file(path: str | Path) -> list[str]:
@@ -141,7 +141,7 @@ def load_pattern_file(path: str | Path) -> list[str]:
     range such as ``[z-a]``.
     """
     patterns = []
-    for lineno, line in _entries(Path(path).read_text(encoding="utf-8-sig")):
+    for lineno, line in entries(Path(path).read_text(encoding="utf-8-sig")):
         try:
             compile_glob(line)
         except ValueError as exc:
@@ -154,7 +154,7 @@ def load_pattern_file(path: str | Path) -> list[str]:
 def builtin_patterns() -> list[str]:
     """The glob patterns shipped with the package."""
     data = resources.files(__package__).joinpath("data/vendored_patterns.txt")
-    return [line for _, line in _entries(data.read_text(encoding="utf-8"))]
+    return [line for _, line in entries(data.read_text(encoding="utf-8"))]
 
 
 @dataclass

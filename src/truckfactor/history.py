@@ -193,8 +193,8 @@ def run_git(
     bytes that are not UTF-8 (a Latin-1 path or author name) become lone
     surrogates, so distinct names stay distinct, and such a string passed
     back to git as an argument is encoded to the original bytes. There is
-    no newline translation: a ``\r`` inside a file's content (as ``git
-    blame`` prints it) must not become a line break.
+    no newline translation: a ``\r`` inside a path (as ``ls-tree -z``
+    prints it) or an author name must not become a line break.
     """
     stdin = None if input is None else subprocess.PIPE
     with start_git(repo_path, args, subprocess.PIPE, env, stdin) as proc:
@@ -469,7 +469,7 @@ def check_migration(traces: Sequence[FileTrace]) -> MigrationSummary:
     covered = 0
     chosen = 0
     fraction = 0.0
-    for commit_id, count in sorted(adders.items(), key=lambda kv: (-kv[1], kv[0])):
+    for count in sorted(adders.values(), reverse=True):
         covered += count
         chosen += 1
         fraction = covered / total

@@ -33,6 +33,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
+from .filters import entries
 from .report import AliasCandidate
 
 
@@ -88,9 +89,9 @@ def _canonical_name(
     counts: Mapping[RawUser, int],
     forced: Mapping[RawUser, str],
 ) -> str:
-    overridden = sorted({forced[m] for m in members if m in forced})
+    overridden = [forced[m] for m in members if m in forced]
     if overridden:
-        return overridden[0]
+        return min(overridden)
     best = min(members, key=lambda m: (-counts.get(m, 0), m.name, m.email))
     return best.name
 
@@ -182,25 +183,21 @@ def name_merge_candidates(users: Iterable[RawUser]) -> list[AliasCandidate]:
 def load_alias_overrides(path: str | Path) -> dict[str, str]:
     """Parse an override file mapping users to canonical names.
 
-    One ``<email-or-name> => <canonical name>`` rule per line; blank lines
-    and ``#`` comments are ignored, and so is a leading byte-order mark.
-    Keys are matched case-insensitively against both emails and names. A
-    key in angle brackets, as ``git shortlog -e`` prints an email, loses
-    them: ``<a@x>`` matches the email ``a@x``.
+    One ``<email-or-name> => <canonical name>`` rule per line, in the
+    format of :func:`truckfactor.filters.load_path_file`. Keys are matched
+    case-insensitively against both emails and names. A key in angle
+    brackets, as ``git shortlog -e`` prints an email, loses them: ``<a@x>``
+    matches the email ``a@x``.
     """
     overrides: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8-sig")
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in entries(Path(path).read_text(encoding="utf-8-sig")):
         key, sep, target = line.partition("=>")
         key, target = key.strip(), target.strip()
         if key[:1] == "<" and key[-1:] == ">":
             key = key[1:-1].strip()
         if not sep or not key or not target:
             raise ValueError(
-                f"{path}:{lineno}: expected '<email-or-name> => <canonical name>', got {raw!r}"
+                f"{path}:{lineno}: expected '<email-or-name> => <canonical name>', got {line!r}"
             )
         overrides[fold_name(key)] = target
     return overrides

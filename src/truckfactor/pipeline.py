@@ -123,7 +123,6 @@ def _changed_path_graph(
                 "--changed-paths",
                 "--max-new-filters=-1",
                 "--no-progress",
-                f"--object-dir={tmp}",
             ]
             history.run_git(
                 git_dir, args, env=env, input=f"{revision.commit}\n".encode()
@@ -139,7 +138,7 @@ def _blame_agreement(
     alias_map: dict[identity.RawUser, identity.DeveloperId],
     seed: int,
 ) -> BlameAgreement:
-    """Sample files and compare their authors against blame rankings.
+    """Sample the sorted ``targets`` and compare their authors with blame.
 
     The sampled files are blamed at the resolved commit on a pool of
     :func:`_blame_workers` threads, each waiting on one ``git blame``
@@ -149,25 +148,21 @@ def _blame_agreement(
     # Imported here so that runs without a blame sample do not pay for it.
     from concurrent.futures import ThreadPoolExecutor
 
-    sample = sorted(targets)
-    if len(sample) > BLAME_SAMPLE_SIZE:
-        sample = sorted(random.Random(seed).sample(sample, BLAME_SAMPLE_SIZE))
+    sample = targets
+    if len(targets) > BLAME_SAMPLE_SIZE:
+        sample = sorted(random.Random(seed).sample(targets, BLAME_SAMPLE_SIZE))
 
-    def rank(file: str) -> list[tuple[identity.DeveloperId, int]] | None:
+    def rank(file: str) -> list[identity.DeveloperId] | None:
         try:
-            return authorship.blame_rank(revision, file, alias_map, env=env)
+            ranking = authorship.blame_rank(revision, file, alias_map, env=env)
         except BlameFailed:
             return None
+        return [dev for dev, _ in ranking]
 
     with _changed_path_graph(revision) as env:
         with ThreadPoolExecutor(max_workers=_blame_workers()) as executor:
-            rankings = list(executor.map(rank, sample))
-
-    ranked = {
-        file: [dev for dev, _ in ranking]
-        for file, ranking in zip(sample, rankings)
-        if ranking is not None
-    }
+            rankings = zip(sample, executor.map(rank, sample))
+            ranked = {file: devs for file, devs in rankings if devs is not None}
     top1 = top3 = none = pairs = 0
     for author, files in author_map.entries.items():
         for file in files & ranked.keys():
@@ -220,7 +215,7 @@ def run(config: AnalysisConfig) -> Report:
     )
     author_map = authorship.select_authors(records, k=config.k, m=config.m)
 
-    universe = set(targets) if config.universe == "all-files" else None
+    universe = targets if config.universe == "all-files" else None
     result = estimate.truck_factor(
         author_map, threshold=config.coverage, universe=universe
     )

@@ -369,10 +369,10 @@ def test_blame_rank_matches_a_line_porcelain_count(fixture, request):
 def test_blame_rank_counts_groups_whose_commit_was_described_earlier(
     interleaved_blame_repo,
 ):
-    porcelain = interleaved_blame_repo.git(
-        "blame", "--porcelain", "HEAD", "--", "data.txt"
+    incremental = interleaved_blame_repo.git(
+        "blame", "--incremental", "HEAD", "--", "data.txt"
     )
-    assert porcelain.count("\nauthor Alice\n") == 1  # two groups, one header
+    assert incremental.count("\nauthor Alice\n") == 1  # two groups, one header
     ranking = _blame(interleaved_blame_repo, "data.txt", {})
     assert [(d.canonical_name, n) for d, n in ranking] == [("Alice", 20), ("Bob", 10)]
 
@@ -403,10 +403,26 @@ def test_file_content_shaped_like_blame_headers_moves_no_count(tmp_path):
 
 def test_blame_rank_rejects_lines_of_a_commit_with_no_author(monkeypatch):
     commit = "ab" * 20
-    undescribed = f"{commit} 1 1 1\n\tonly line\n"
+    undescribed = f"{commit} 1 1 1\nfilename data.txt\n"
     monkeypatch.setattr(authorship, "run_git", lambda *_, **__: undescribed)
     with pytest.raises(BlameFailed, match="no author"):
         blame_rank(Revision(commit, False, "."), "data.txt", {})
+
+
+def test_blame_rank_orders_tied_namesakes_by_their_first_line(tmp_path):
+    # Alice's rule labels her "Bob"; each Bob owns two lines, and blame
+    # reaches the newer commit, holding the last lines, first.
+    builder = rf.RepoBuilder(tmp_path / "namesakes")
+    builder.commit_file("data.txt", "a\nb\n", "add data", rf.ALICE)
+    builder.commit_file("data.txt", "a\nb\nc\nd\n", "append", rf.BOB)
+    alias_map = resolve_aliases(
+        [RawUser(*rf.ALICE), RawUser(*rf.BOB)], overrides={"alice@example.com": "Bob"}
+    )
+    ranking = _blame(builder, "data.txt", alias_map)
+    assert [(d.members, n) for d, n in ranking] == [
+        (frozenset({RawUser(*rf.ALICE)}), 2),
+        (frozenset({RawUser(*rf.BOB)}), 2),
+    ]
 
 
 def test_blame_rank_of_single_author_file(single_author_repo):
