@@ -5,9 +5,10 @@ compared with the SHA-1 ones elsewhere) runs through the CLI with
 ``--format json`` and each option set in ``OPTIONS``, and with
 ``--format text`` and each option set in ``TEXT_OPTIONS``, the sections
 that only those options add to the text report, and with ``--format csv``.
-Two more cases read the side files that ``SIDE_FILES`` lists. The exit code
-and the SHA-256 of stdout must match ``oracle_digests.json``. A refactor leaves the
-table as it is. A change meant to alter the report re-records it::
+Two more cases read the side files that ``SIDE_FILES`` lists. The exit
+code and the SHA-256 of stdout must match ``oracle_digests.json``. A
+refactor leaves the table as it is. A change meant to alter the report
+re-records it::
 
     PYTHONPATH=src python tests/test_oracle.py > tests/oracle_digests.json
 """
