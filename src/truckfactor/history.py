@@ -139,25 +139,31 @@ def start_git(
     args: Sequence[str],
     stderr: int | IO[bytes],
     env: Mapping[str, str] | None = None,
-    stdin: int | None = None,
+    input: bytes | None = None,
 ) -> subprocess.Popen[bytes]:
     """Start one git command in ``repo_path``, with the pinned config, its
     stdout a pipe and its stderr going to ``stderr``. ``env`` replaces this
     process's environment when given; otherwise git gets :func:`git_env`.
-    ``stdin`` is passed to :class:`subprocess.Popen` as it is. Either
-    environment gets ``GIT_NO_LAZY_FETCH=1``, so git never fetches a missing
-    object, and ``GIT_FLUSH=0``."""
+    Either environment gets ``GIT_NO_LAZY_FETCH=1``, so git never fetches a
+    missing object, and ``GIT_FLUSH=0``. ``input``, when given, is written
+    to git's stdin, which is then closed; it must fit in the pipe (64 KiB
+    on Linux), since git may read it only later. A git that exits before
+    reading it fails its wait, not this call."""
     try:
-        return subprocess.Popen(
+        proc = subprocess.Popen(
             ["git", *_PINNED_CONFIG, *args],
             cwd=str(repo_path),
             env={**(git_env() if env is None else env), **_GIT_ENV},
-            stdin=stdin,
+            stdin=None if input is None else subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=stderr,
         )
     except OSError as exc:
         raise GitInvocationFailed(" ".join(["git", *args]), str(exc)) from exc
+    if proc.stdin is not None:
+        with suppress(BrokenPipeError), proc.stdin:
+            proc.stdin.write(cast(bytes, input))
+    return proc
 
 
 def _failure(
@@ -181,13 +187,11 @@ def run_git(
     args: Sequence[str],
     *,
     env: Mapping[str, str] | None = None,
-    input: bytes | None = None,
 ) -> str:
     """Run one git command in ``repo_path`` and return its stdout.
 
-    ``env``, when given, is git's whole environment, and ``input``, when
-    given, is written to git's stdin. Raises :class:`PartialClone` or
-    :class:`GitInvocationFailed` when git fails.
+    ``env``, when given, is git's whole environment. Raises
+    :class:`PartialClone` or :class:`GitInvocationFailed` when git fails.
 
     Every output is decoded here, once, as UTF-8 with ``surrogateescape``:
     bytes that are not UTF-8 (a Latin-1 path or author name) become lone
@@ -196,9 +200,8 @@ def run_git(
     no newline translation: a ``\r`` inside a path (as ``ls-tree -z``
     prints it) or an author name must not become a line break.
     """
-    stdin = None if input is None else subprocess.PIPE
-    with start_git(repo_path, args, subprocess.PIPE, env, stdin) as proc:
-        out, err = proc.communicate(input)
+    with start_git(repo_path, args, subprocess.PIPE, env) as proc:
+        out, err = proc.communicate()
     if proc.returncode != 0:
         raise _failure(repo_path, args, err.decode("utf-8", "replace").strip())
     return out.decode("utf-8", "surrogateescape")

@@ -13,12 +13,12 @@ import os
 import random
 import tempfile
 from collections import Counter
-from contextlib import closing, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import authorship, estimate, history, identity
-from .errors import BlameFailed, GitInvocationFailed
+from .errors import BlameFailed
 from .filters import FilterRules, load_path_file, load_pattern_file
 from .report import SCHEMA_VERSION, BlameAgreement, MigrationSummary, Report
 
@@ -90,45 +90,76 @@ def _alternate(path: str) -> str:
 @contextmanager
 def _changed_path_graph(
     revision: history.Revision,
-) -> Iterator[dict[str, str] | None]:
-    """An environment in which git reads a commit-graph of the resolved
-    commit's history, with changed-path Bloom filters, or ``None`` when git
-    wrote none.
+) -> Iterator[Callable[[], dict[str, str] | None]]:
+    """Start writing a commit-graph of the resolved commit's history, with
+    changed-path Bloom filters, and yield a function that waits for the
+    write and returns an environment in which git reads the graph, or
+    ``None`` when git wrote none.
 
+    The write runs while the caller works, such as while ``git log`` runs.
     With the filters, ``git blame`` skips the tree lookup at every commit
-    that did not touch the blamed path; they have no false negatives, so
-    blame prints the same bytes. The graph is written into a temporary
-    directory, never into the repository, and removed on exit. git reads
-    the commit-graph of the first object directory that has one, so the
-    temporary directory is ``GIT_OBJECT_DIRECTORY``, ahead of the
-    repository's own graph, and the repository's objects are the first
-    alternate, ahead of any alternates already set. In a shallow clone git
-    writes no graph and exits 0; under grafts or replace refs it reads none.
+    that did not touch the blamed path. Blame looks up only the full path,
+    while every changed path also puts its directories into its commit's
+    filter, so at git's default of 10 bits per entry a small commit's
+    filter answers "maybe" often. The write alone runs with 32 bits per
+    entry, and any other ``GIT_TEST_BLOOM_SETTINGS_*`` removed from its
+    environment; readers take the width from the graph. Filters have no
+    false negatives at any width, so blame prints the same bytes.
+
+    The graph is written into a temporary directory, never into the
+    repository. git writes it there as an alternate object directory
+    (``--object-dir``), and reads it as ``GIT_OBJECT_DIRECTORY``, since git
+    reads the commit-graph of the first object directory that has one; the
+    repository's objects are then the first alternate, ahead of any
+    alternates already set. In a shallow clone git writes no graph and
+    exits 0; under grafts or replace refs it reads none. A failed write
+    means blaming without the graph. On exit, however it comes, git is
+    stopped and the directory removed.
     """
     git_dir = revision.git_dir
+    env = history.git_env()
+    inherited = env.get("GIT_ALTERNATE_OBJECT_DIRECTORIES")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = os.path.abspath(tmp)  # git runs in another directory
-        env = history.git_env()
-        with suppress(GitInvocationFailed):  # then blame as without the graph
+        write_env = {
+            key: value
+            for key, value in env.items()
+            if not key.startswith("GIT_TEST_BLOOM_SETTINGS_")
+        }
+        write_env["GIT_TEST_BLOOM_SETTINGS_BITS_PER_ENTRY"] = "32"
+        write_env["GIT_ALTERNATE_OBJECT_DIRECTORIES"] = os.pathsep.join(
+            filter(None, [_alternate(tmp), inherited])
+        )
+        args = [
+            "commit-graph",
+            "write",
+            "--object-dir",
+            tmp,
+            "--stdin-commits",
+            "--changed-paths",
+            "--max-new-filters=-1",
+            "--no-progress",
+        ]
+        with open(os.devnull, "wb") as devnull:
+            commit = f"{revision.commit}\n".encode()
+            proc = history.start_git(git_dir, args, devnull, write_env, commit)
+        try:
             objects = history.run_git(git_dir, ["rev-parse", "--git-path", "objects"])
-            alternates = [_alternate(os.path.join(git_dir, objects[:-1]))]
-            if env.get("GIT_ALTERNATE_OBJECT_DIRECTORIES"):
-                alternates.append(env["GIT_ALTERNATE_OBJECT_DIRECTORIES"])
+            objects = _alternate(os.path.join(git_dir, objects[:-1]))
             env["GIT_OBJECT_DIRECTORY"] = tmp
-            env["GIT_ALTERNATE_OBJECT_DIRECTORIES"] = os.pathsep.join(alternates)
-            args = [
-                "commit-graph",
-                "write",
-                "--stdin-commits",
-                "--changed-paths",
-                "--max-new-filters=-1",
-                "--no-progress",
-            ]
-            history.run_git(
-                git_dir, args, env=env, input=f"{revision.commit}\n".encode()
+            env["GIT_ALTERNATE_OBJECT_DIRECTORIES"] = os.pathsep.join(
+                filter(None, [objects, inherited])
             )
-        written = os.path.isfile(os.path.join(tmp, "info", "commit-graph"))
-        yield env if written else None
+
+            def graph() -> dict[str, str] | None:
+                graph_file = os.path.join(tmp, "info", "commit-graph")
+                return env if proc.wait() == 0 and os.path.isfile(graph_file) else None
+
+            yield graph
+        finally:
+            proc.kill()  # does nothing once git has been reaped
+            proc.stdout.close()
+            proc.wait()
 
 
 def _blame_agreement(
@@ -137,13 +168,15 @@ def _blame_agreement(
     author_map: authorship.AuthorFileMap,
     alias_map: dict[identity.RawUser, identity.DeveloperId],
     seed: int,
+    graph: Callable[[], dict[str, str] | None],
 ) -> BlameAgreement:
     """Sample the sorted ``targets`` and compare their authors with blame.
 
     The sampled files are blamed at the resolved commit on a pool of
     :func:`_blame_workers` threads, each waiting on one ``git blame``
-    process that reads :func:`_changed_path_graph`. A file that blame
-    cannot rank counts as one failure.
+    process in the environment that ``graph`` returns, as the function
+    that :func:`_changed_path_graph` yields does. A file that blame cannot
+    rank counts as one failure.
     """
     # Imported here so that runs without a blame sample do not pay for it.
     from concurrent.futures import ThreadPoolExecutor
@@ -159,10 +192,10 @@ def _blame_agreement(
             return None
         return [dev for dev, _ in ranking]
 
-    with _changed_path_graph(revision) as env:
-        with ThreadPoolExecutor(max_workers=_blame_workers()) as executor:
-            rankings = zip(sample, executor.map(rank, sample))
-            ranked = {file: devs for file, devs in rankings if devs is not None}
+    env = graph()
+    with ThreadPoolExecutor(max_workers=_blame_workers()) as executor:
+        rankings = zip(sample, executor.map(rank, sample))
+        ranked = {file: devs for file, devs in rankings if devs is not None}
     top1 = top3 = none = pairs = 0
     for author, files in author_map.entries.items():
         for file in files & ranked.keys():
@@ -191,63 +224,76 @@ def run(config: AnalysisConfig) -> Report:
     rules = _build_rules(config)
     revision = history.resolve_revision(config.repo_path, config.branch)
     commit_counts: Counter[identity.RawUser] = Counter()
-    # git log runs from here on, while the snapshot is listed and filtered.
-    with closing(history.read_log(revision)) as log:
+    with ExitStack() as stack:
+        # git log runs from here on, while the snapshot is listed and
+        # filtered, and so does the write of the graph that blames read.
+        log = stack.enter_context(closing(history.read_log(revision)))
+        graph = (
+            stack.enter_context(_changed_path_graph(revision))
+            if config.blame_compare
+            else None
+        )
         targets = history.list_snapshot_files(revision, rules)
         traces = history.trace_files(_counting(log, commit_counts), targets)
-    users = commit_counts.keys()
-    overrides = (
-        identity.load_alias_overrides(config.alias_file) if config.alias_file else None
-    )
-    candidates = identity.name_merge_candidates(users) if config.alias_report else None
-    alias_map = identity.resolve_aliases(
-        users,
-        commit_counts=commit_counts,
-        overrides=overrides,
-        merge_similar_names=not config.alias_report,
-    )
-
-    author_map = authorship.select_authors(traces, alias_map, k=config.k, m=config.m)
-
-    universe = targets if config.universe == "all-files" else None
-    result = estimate.truck_factor(
-        author_map, threshold=config.coverage, universe=universe
-    )
-    low_initial = not result.removed and result.initial_coverage < config.coverage
-
-    warnings: list[str] = []
-    migration = (
-        history.check_migration(traces)
-        if config.migration_check
-        else MigrationSummary(checked=False)
-    )
-    if migration.suspicious:
-        warnings.append(
-            f"possible history migration: {migration.fraction_covered:.0%} of "
-            f"files were added in only {migration.adding_commits} commit(s); "
-            "authorship may be unreliable"
+        users = commit_counts.keys()
+        overrides = (
+            identity.load_alias_overrides(config.alias_file)
+            if config.alias_file
+            else None
         )
-    if not targets:
-        warnings.append(
-            "no file to analyze: the revision holds no file that the built-in "
-            "patterns, --patterns and --ignore-file keep; the estimate is 0"
+        candidates = (
+            identity.name_merge_candidates(users) if config.alias_report else None
         )
-    elif low_initial:
-        warnings.append(
-            "authored-file coverage starts below the coverage threshold; "
-            "the estimate is 0 by construction"
-        )
-    if revision.shallow:
-        warnings.append(
-            "shallow clone: history is truncated, so files added before the "
-            "cut get no first author and early contributors are missing"
+        alias_map = identity.resolve_aliases(
+            users,
+            commit_counts=commit_counts,
+            overrides=overrides,
+            merge_similar_names=not config.alias_report,
         )
 
-    blame = None
-    if config.blame_compare:
-        blame = _blame_agreement(
-            revision, targets, author_map, alias_map, config.seed
+        author_map = authorship.select_authors(
+            traces, alias_map, k=config.k, m=config.m
         )
+
+        universe = targets if config.universe == "all-files" else None
+        result = estimate.truck_factor(
+            author_map, threshold=config.coverage, universe=universe
+        )
+        low_initial = not result.removed and result.initial_coverage < config.coverage
+
+        warnings: list[str] = []
+        migration = (
+            history.check_migration(traces)
+            if config.migration_check
+            else MigrationSummary(checked=False)
+        )
+        if migration.suspicious:
+            warnings.append(
+                f"possible history migration: {migration.fraction_covered:.0%} of "
+                f"files were added in only {migration.adding_commits} commit(s); "
+                "authorship may be unreliable"
+            )
+        if not targets:
+            warnings.append(
+                "no file to analyze: the revision holds no file that the built-in "
+                "patterns, --patterns and --ignore-file keep; the estimate is 0"
+            )
+        elif low_initial:
+            warnings.append(
+                "authored-file coverage starts below the coverage threshold; "
+                "the estimate is 0 by construction"
+            )
+        if revision.shallow:
+            warnings.append(
+                "shallow clone: history is truncated, so files added before the "
+                "cut get no first author and early contributors are missing"
+            )
+
+        blame = None
+        if graph is not None:
+            blame = _blame_agreement(
+                revision, targets, author_map, alias_map, config.seed, graph
+            )
 
     developers = set(alias_map.values())  # resolve_aliases raises on none
     totals = {

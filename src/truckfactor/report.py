@@ -118,7 +118,8 @@ def _emit_text(report: Report) -> str:
         lines.append(f"WARNING: {warning}")
     lines.append("")
     lines.append(f"truck factor: {report.truck_factor}")
-    if report.low_initial_coverage:
+    no_files = report.totals["files"] == 0  # a warning names that case
+    if report.low_initial_coverage and not no_files:
         lines.append(
             "note: authored-file coverage starts below the threshold, so no "
             "author removal was possible"
@@ -147,7 +148,9 @@ def _emit_text(report: Report) -> str:
         f"thresholds: k={thresholds['k']} m={thresholds['m']} "
         f"coverage={thresholds['coverage']}"
     )
-    if report.migration.checked:
+    if report.migration.checked and no_files:
+        lines.append("migration check: no files")
+    elif report.migration.checked:
         verdict = "suspicious" if report.migration.suspicious else "ok"
         lines.append(
             f"migration check: {verdict} "

@@ -135,6 +135,21 @@ def test_ignore_file_and_patterns_flags(vendored_repo, tmp_path, capfd):
     assert payload["truck_factor"] == 0
 
 
+def test_the_text_report_of_an_empty_file_set_makes_no_claim_about_it(
+    vendored_repo, tmp_path, capfd
+):
+    ignore = tmp_path / "ignore.txt"
+    ignore.write_text("src/\n", encoding="utf-8")
+    args = [str(vendored_repo.path), "--ignore-file", str(ignore), "--format", "text"]
+    assert main(args) == 0
+    lines = capfd.readouterr().out.splitlines()
+    assert "WARNING: no file to analyze" in "\n".join(lines)
+    assert not [line for line in lines if line.startswith("note:")]
+    assert [line for line in lines if line.startswith("migration")] == [
+        "migration check: no files"
+    ]
+
+
 @pytest.mark.parametrize("line", ["[z-a].py", "[a--b].py", "/"])
 def test_an_invalid_glob_in_a_patterns_file_exits_2(
     vendored_repo, tmp_path, capfd, line

@@ -4,9 +4,11 @@ import os
 import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 from collections import defaultdict
@@ -19,7 +21,7 @@ import truckfactor
 from truckfactor import authorship, history, pipeline
 from truckfactor.authorship import AuthorFileMap
 from truckfactor.cli import main
-from truckfactor.errors import BlameFailed
+from truckfactor.errors import BlameFailed, GitInvocationFailed
 from truckfactor.filters import FilterRules
 from truckfactor.history import Revision
 from truckfactor.identity import DeveloperId, RawUser
@@ -232,11 +234,12 @@ def test_blame_pool_tallies_like_a_sequential_loop(monkeypatch):
     monkeypatch.setattr(authorship, "blame_rank", fake_blame_rank)
     revision = Revision("c0ffee", False, "unused")
     monkeypatch.setattr(pipeline, "_blame_workers", lambda: 1)
-    sequential = pipeline._blame_agreement(revision, files, author_map, {}, 4)
+    no_graph = lambda: None  # noqa: E731
+    sequential = pipeline._blame_agreement(revision, files, author_map, {}, 4, no_graph)
     assert peak == 1
     peak = 0
     monkeypatch.setattr(pipeline, "_blame_workers", lambda: 4)
-    pooled = pipeline._blame_agreement(revision, files, author_map, {}, 4)
+    pooled = pipeline._blame_agreement(revision, files, author_map, {}, 4, no_graph)
     assert 1 < peak <= 4
     assert pooled == sequential
     assert pooled.blame_failures == 6
@@ -249,10 +252,10 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
 ):
     head = two_author_repo.head()
     calls = []
-    inputs = []
+    graphs = set()
     lock = threading.Lock()
     real_start_git = history.start_git
-    real_run_git = history.run_git
+    real_blame_rank = authorship.blame_rank
 
     def spy(repo_path, args, stderr, *rest):
         with lock:
@@ -264,22 +267,27 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
             two_author_repo.commit_file("late.py", "late\n", "late", rf.CAROL)
         return proc
 
-    def run_git_spy(repo_path, args, **kwargs):
-        inputs.append((args[0], kwargs.get("input")))
-        return real_run_git(repo_path, args, **kwargs)
+    def blame_rank_spy(*args, env, **kwargs):
+        ids = _graph_chunks(env)["OIDL"].hex()  # the graph's commits, sorted
+        with lock:
+            graphs.add(frozenset(textwrap.wrap(ids, len(head))))
+        return real_blame_rank(*args, env=env, **kwargs)
 
     monkeypatch.setattr(history, "start_git", spy)
-    monkeypatch.setattr(history, "run_git", run_git_spy)
+    monkeypatch.setattr(authorship, "blame_rank", blame_rank_spy)
     config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
     report = run(config)
     assert two_author_repo.head() != head
     assert report.head_commit == head
     assert report.totals == {"developers": 2, "authors": 2, "files": 4, "commits": 7}
     subcommands = [args[0] for args in calls]
-    graph = ["rev-parse", "commit-graph"]  # find the objects, write the graph
-    assert subcommands == ["rev-parse", "log", "ls-tree", *graph] + ["blame"] * 4
-    assert ("commit-graph", f"{head}\n".encode()) in inputs
-    assert all(head in args for args in calls[1:3] + calls[5:])
+    # the graph is written while git log runs, then its readers find the objects
+    graph = ["commit-graph", "rev-parse"]
+    assert subcommands == ["rev-parse", "log", *graph, "ls-tree"] + ["blame"] * 4
+    assert "--stdin-commits" in calls[2]
+    # every blame read a graph of head's history, without the late commit
+    assert graphs == {frozenset(two_author_repo.git("rev-list", head).split())}
+    assert all(head in args for args in [calls[1], calls[4], *calls[5:]])
 
 
 def test_every_git_command_caps_the_delta_base_cache(monkeypatch, two_author_repo):
@@ -566,6 +574,23 @@ def test_blames_read_the_graph_without_an_inherited_git_dir(
     assert all(env is not None and "GIT_DIR" not in env for env in envs)
 
 
+def _graph_chunks(env: dict[str, str]) -> dict[str, bytes]:
+    """The chunks, by id, of the commit-graph that git reads in ``env``.
+
+    In gitformat-commit-graph(5), the file opens with an 8-byte header whose
+    seventh byte counts the chunks. A table of (4-byte id, 8-byte offset)
+    follows, one row per chunk and a last row whose offset ends the last
+    chunk.
+    """
+    data = (Path(env["GIT_OBJECT_DIRECTORY"]) / "info" / "commit-graph").read_bytes()
+    assert data[:4] == b"CGPH"
+    table = [struct.unpack_from(">4sQ", data, 8 + 12 * i) for i in range(data[6] + 1)]
+    return {
+        chunk.decode(): data[start:end]
+        for (chunk, start), (_, end) in zip(table, table[1:])
+    }
+
+
 def _bloom_answers(trace: Path) -> list[int]:
     """How many Bloom filter queries each traced blame answered "no"."""
     events = map(json.loads, trace.read_text().splitlines())
@@ -595,6 +620,27 @@ def test_blames_skip_commits_through_the_temporary_graph(
     assert sum(answers) > 0
 
 
+def test_blames_read_filters_of_32_bits_per_entry_whatever_the_environment(
+    tmp_path, monkeypatch, two_author_repo
+):
+    monkeypatch.setenv("GIT_TEST_BLOOM_SETTINGS_BITS_PER_ENTRY", "10")
+    trace = tmp_path / "trace2.json"
+    monkeypatch.setenv("GIT_TRACE2_EVENT", str(trace))
+    real_blame_rank = authorship.blame_rank
+    widths = []
+
+    def spy(*args, env, **kwargs):
+        # BDAT opens with the filters' version, hash count and bits per entry
+        widths.append(struct.unpack_from(">III", _graph_chunks(env)["BDAT"])[2])
+        return real_blame_rank(*args, env=env, **kwargs)
+
+    monkeypatch.setattr(authorship, "blame_rank", spy)
+    config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
+    assert run(config).blame_agreement.blame_failures == 0
+    assert widths == [32] * 4
+    assert len(_bloom_answers(trace)) == 4  # every blame read the filters
+
+
 def test_a_repository_under_a_path_holding_the_separator_gets_the_graph(
     tmp_path, monkeypatch, two_author_repo
 ):
@@ -621,7 +667,8 @@ def test_blames_without_a_usable_graph_rank_as_before(tmp_path, two_author_repo,
         two_author_repo.git("clone", "-q", "--depth", "2", url, str(repo))
     revision = history.resolve_revision(repo)
     files = history.list_snapshot_files(revision, FilterRules())
-    with pipeline._changed_path_graph(revision) as env:
+    with pipeline._changed_path_graph(revision) as graph:
+        env = graph()
         assert (env is None) == (kind == "shallow")
         for file in files:
             ranking = authorship.blame_rank(revision, file, {}, env=env)
@@ -640,6 +687,17 @@ def test_a_repositorys_own_commit_graph_changes_no_byte(tmp_path, capfd):
     assert capfd.readouterr() == with_graph
 
 
+def _put_git_on_path(tmp_path, monkeypatch, script, **fields):
+    """Put ``script``, formatted with ``fields``, the interpreter and the
+    real git, first on ``PATH`` as ``git``."""
+    path = tmp_path / "bin" / "git"
+    path.parent.mkdir()
+    git = shutil.which("git")
+    path.write_text(script.format(python=sys.executable, git=git, **fields))
+    path.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{path.parent}{os.pathsep}{os.environ['PATH']}")
+
+
 # A git that fails "commit-graph" and runs the real one for anything else.
 _GRAPHLESS_GIT = """#!{python}
 import os, sys
@@ -654,18 +712,54 @@ os.execv({git!r}, [{git!r}, *sys.argv[1:]])
 def test_a_failed_graph_write_leaves_the_report_as_it_is(tmp_path, monkeypatch, build):
     repo = build(tmp_path / "repo").path
     expected = _json_report(repo, blame_compare=True)
-    script = tmp_path / "bin" / "git"
-    script.parent.mkdir()
     marker = tmp_path / "graph-write-failed"
-    git = shutil.which("git")
-    script.write_text(
-        _GRAPHLESS_GIT.format(python=sys.executable, git=git, marker=str(marker))
-    )
-    script.chmod(0o755)
-    monkeypatch.setenv("PATH", f"{script.parent}{os.pathsep}{os.environ['PATH']}")
+    _put_git_on_path(tmp_path, monkeypatch, _GRAPHLESS_GIT, marker=str(marker))
     assert _json_report(repo, blame_compare=True) == expected
     assert marker.exists()
     assert expected["blame_agreement"]["blame_failures"] == 0
+
+
+# A git that fails "log", writes a commit-graph only after a minute, and runs
+# the real one for anything else.
+_LOGLESS_GIT = """#!{python}
+import os, sys, time
+if "log" in sys.argv:
+    sys.exit("fatal: no log today")
+if "commit-graph" in sys.argv:
+    time.sleep(60)
+os.execv({git!r}, [{git!r}, *sys.argv[1:]])
+"""
+
+
+def test_a_failed_log_stops_the_graph_write_and_removes_its_directory(
+    tmp_path, monkeypatch, two_author_repo
+):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    _put_git_on_path(tmp_path, monkeypatch, _LOGLESS_GIT)
+    subcommands = []
+    procs = []
+    real_start_git = history.start_git
+
+    def spy(repo_path, args, *rest):
+        proc = real_start_git(repo_path, args, *rest)
+        subcommands.append(args[0])
+        procs.append(proc)
+        return proc
+
+    monkeypatch.setattr(history, "start_git", spy)
+    config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
+    try:
+        with pytest.raises(GitInvocationFailed, match="no log today"):
+            run(config)
+        assert subcommands[:3] == ["rev-parse", "log", "commit-graph"]
+        assert [proc.poll() is not None for proc in procs] == [True] * len(procs)
+        assert not list(temp.iterdir())
+    finally:  # a write left running is stopped all the same
+        for proc in procs:
+            proc.kill()
+            proc.wait()
 
 
 def test_branch_selection(branched_repo):
