@@ -114,9 +114,12 @@ _PINNED_CONFIG = (
 _GIT_ENV = {"GIT_NO_LAZY_FETCH": "1", "GIT_FLUSH": "0"}
 
 # Variables that point git at a repository other than the one it runs in.
-# git exports GIT_DIR and GIT_WORK_TREE to its hooks (githooks(5)), so a run
-# started from a hook would otherwise analyze the hook's repository.
-_REPOSITORY_VARIABLES = ("GIT_DIR", "GIT_WORK_TREE", "GIT_COMMON_DIR")
+# git exports GIT_DIR and GIT_WORK_TREE to its hooks, and GIT_OBJECT_DIRECTORY
+# to pre-receive and update hooks while it quarantines a push (githooks(5)),
+# so a run started from a hook would otherwise read the hook's repository.
+_REPOSITORY_VARIABLES = (
+    "GIT_DIR", "GIT_WORK_TREE", "GIT_COMMON_DIR", "GIT_OBJECT_DIRECTORY"
+)
 
 
 def git_env() -> dict[str, str]:

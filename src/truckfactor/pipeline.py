@@ -90,51 +90,52 @@ def _alternate(path: str) -> str:
 @contextmanager
 def _changed_path_graph(
     revision: history.Revision,
-) -> Iterator[Callable[[], dict[str, str] | None]]:
+) -> Iterator[Callable[[], dict[str, str]]]:
     """Start writing a commit-graph of the resolved commit's history, with
     changed-path Bloom filters, and yield a function that waits for the
-    write and returns an environment in which git reads the graph, or
-    ``None`` when git wrote none.
+    write and returns the environment in which git reads the graph.
 
     The write runs while the caller works, such as while ``git log`` runs.
     With the filters, ``git blame`` skips the tree lookup at every commit
     that did not touch the blamed path. Blame looks up only the full path,
     while every changed path also puts its directories into its commit's
     filter, so at git's default of 10 bits per entry a small commit's
-    filter answers "maybe" often. The write alone runs with 32 bits per
-    entry, and any other ``GIT_TEST_BLOOM_SETTINGS_*`` removed from its
-    environment; readers take the width from the graph. Filters have no
-    false negatives at any width, so blame prints the same bytes.
+    filter answers "maybe" often. The filters get 32 bits per entry, with
+    any other ``GIT_TEST_BLOOM_SETTINGS_*`` removed, and the write reads
+    no filters of the repository's own graph, whose width git would keep.
+    Readers take the width from the graph, and filters have no false
+    negatives at any width, so blame prints the same bytes.
 
     The graph is written into a temporary directory, never into the
-    repository. git writes it there as an alternate object directory
-    (``--object-dir``), and reads it as ``GIT_OBJECT_DIRECTORY``, since git
-    reads the commit-graph of the first object directory that has one; the
-    repository's objects are then the first alternate, ahead of any
-    alternates already set. In a shallow clone git writes no graph and
-    exits 0; under grafts or replace refs it reads none. A failed write
-    means blaming without the graph. On exit, however it comes, git is
-    stopped and the directory removed.
+    repository. The write and the blames run in one environment, which
+    names that directory as the object directory and the repository's
+    objects as the first alternate, ahead of any alternates already set:
+    git writes the graph into the object directory and reads the first
+    graph it finds. In a shallow clone git writes no graph, under grafts
+    or replace refs it reads none, and a failed write leaves none. Blames
+    then read the graph they would read without this environment, if any,
+    and no graph changes what blame prints. On exit, however it comes,
+    git is stopped and the directory removed.
     """
     git_dir = revision.git_dir
-    env = history.git_env()
-    inherited = env.get("GIT_ALTERNATE_OBJECT_DIRECTORIES")
+    objects = history.run_git(git_dir, ["rev-parse", "--git-path", "objects"])
+    objects = _alternate(os.path.join(git_dir, objects[:-1]))
+    env = {
+        key: value
+        for key, value in history.git_env().items()
+        if not key.startswith("GIT_TEST_BLOOM_SETTINGS_")
+    }
+    env["GIT_TEST_BLOOM_SETTINGS_BITS_PER_ENTRY"] = "32"
+    env["GIT_ALTERNATE_OBJECT_DIRECTORIES"] = os.pathsep.join(
+        filter(None, [objects, env.get("GIT_ALTERNATE_OBJECT_DIRECTORIES")])
+    )
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = os.path.abspath(tmp)  # git runs in another directory
-        write_env = {
-            key: value
-            for key, value in env.items()
-            if not key.startswith("GIT_TEST_BLOOM_SETTINGS_")
-        }
-        write_env["GIT_TEST_BLOOM_SETTINGS_BITS_PER_ENTRY"] = "32"
-        write_env["GIT_ALTERNATE_OBJECT_DIRECTORIES"] = os.pathsep.join(
-            filter(None, [_alternate(tmp), inherited])
-        )
+        env["GIT_OBJECT_DIRECTORY"] = os.path.abspath(tmp)  # git runs elsewhere
         args = [
+            "-c",  # after the pinned settings: the last -c wins
+            "commitGraph.readChangedPaths=false",
             "commit-graph",
             "write",
-            "--object-dir",
-            tmp,
             "--stdin-commits",
             "--changed-paths",
             "--max-new-filters=-1",
@@ -142,19 +143,13 @@ def _changed_path_graph(
         ]
         with open(os.devnull, "wb") as devnull:
             commit = f"{revision.commit}\n".encode()
-            proc = history.start_git(git_dir, args, devnull, write_env, commit)
+            proc = history.start_git(git_dir, args, devnull, env, commit)
+
+        def graph() -> dict[str, str]:
+            proc.wait()
+            return env
+
         try:
-            objects = history.run_git(git_dir, ["rev-parse", "--git-path", "objects"])
-            objects = _alternate(os.path.join(git_dir, objects[:-1]))
-            env["GIT_OBJECT_DIRECTORY"] = tmp
-            env["GIT_ALTERNATE_OBJECT_DIRECTORIES"] = os.pathsep.join(
-                filter(None, [objects, inherited])
-            )
-
-            def graph() -> dict[str, str] | None:
-                graph_file = os.path.join(tmp, "info", "commit-graph")
-                return env if proc.wait() == 0 and os.path.isfile(graph_file) else None
-
             yield graph
         finally:
             proc.kill()  # does nothing once git has been reaped
@@ -168,7 +163,7 @@ def _blame_agreement(
     author_map: authorship.AuthorFileMap,
     alias_map: dict[identity.RawUser, identity.DeveloperId],
     seed: int,
-    graph: Callable[[], dict[str, str] | None],
+    graph: Callable[[], dict[str, str]],
 ) -> BlameAgreement:
     """Sample the sorted ``targets`` and compare their authors with blame.
 

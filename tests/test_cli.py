@@ -195,7 +195,9 @@ def test_every_argument_but_the_output_options_is_a_config_field():
     assert AnalysisConfig(**args) == AnalysisConfig(repo_path="r")
 
 
-@pytest.mark.parametrize("variable", ["GIT_DIR", "GIT_COMMON_DIR"])
+@pytest.mark.parametrize(
+    "variable", ["GIT_DIR", "GIT_COMMON_DIR", "GIT_OBJECT_DIRECTORY"]
+)
 def test_an_inherited_repository_variable_does_not_redirect_the_analysis(
     variable, single_author_repo, two_author_repo, monkeypatch, capfd
 ):

@@ -13,6 +13,7 @@ import threading
 import time
 from collections import defaultdict
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -247,25 +248,47 @@ def test_blame_pool_tallies_like_a_sequential_loop(monkeypatch):
     assert 0 < pooled.none_pct < 100
 
 
+class _StartedGit(NamedTuple):
+    subcommand: str
+    settings: list[str]  # the values of the leading -c pairs
+    proc: subprocess.Popen
+
+
+def _spy_on_start_git(monkeypatch) -> list[_StartedGit]:
+    """Spy on ``history.start_git`` and return the list it fills, in start
+    order, with every git it starts; the subcommand is the first argument
+    after the leading ``-c`` pairs."""
+    started = []
+    lock = threading.Lock()
+    real_start_git = history.start_git
+
+    def spy(*args, **kwargs):
+        proc = real_start_git(*args, **kwargs)
+        end = 1
+        while proc.args[end] == "-c":
+            end += 2
+        with lock:
+            started.append(_StartedGit(proc.args[end], proc.args[2:end:2], proc))
+        return proc
+
+    monkeypatch.setattr(history, "start_git", spy)
+    return started
+
+
 def test_git_commands_read_the_commit_resolved_at_the_start(
     monkeypatch, two_author_repo
 ):
     head = two_author_repo.head()
-    calls = []
     graphs = set()
     lock = threading.Lock()
-    real_start_git = history.start_git
+    real_resolve_revision = history.resolve_revision
     real_blame_rank = authorship.blame_rank
 
-    def spy(repo_path, args, stderr, *rest):
-        with lock:
-            calls.append(list(args))
-            first = len(calls) == 1
-        proc = real_start_git(repo_path, args, stderr, *rest)
-        if first:  # the branch moves right after it was resolved
-            proc.wait()  # rev-parse prints three short lines
-            two_author_repo.commit_file("late.py", "late\n", "late", rf.CAROL)
-        return proc
+    def resolve_revision_spy(*args):
+        revision = real_resolve_revision(*args)
+        # the branch moves right after it was resolved
+        two_author_repo.commit_file("late.py", "late\n", "late", rf.CAROL)
+        return revision
 
     def blame_rank_spy(*args, env, **kwargs):
         ids = _graph_chunks(env)["OIDL"].hex()  # the graph's commits, sorted
@@ -273,47 +296,37 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
             graphs.add(frozenset(textwrap.wrap(ids, len(head))))
         return real_blame_rank(*args, env=env, **kwargs)
 
-    monkeypatch.setattr(history, "start_git", spy)
+    started = _spy_on_start_git(monkeypatch)
+    monkeypatch.setattr(history, "resolve_revision", resolve_revision_spy)
     monkeypatch.setattr(authorship, "blame_rank", blame_rank_spy)
     config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
     report = run(config)
     assert two_author_repo.head() != head
     assert report.head_commit == head
     assert report.totals == {"developers": 2, "authors": 2, "files": 4, "commits": 7}
-    subcommands = [args[0] for args in calls]
-    # the graph is written while git log runs, then its readers find the objects
-    graph = ["commit-graph", "rev-parse"]
-    assert subcommands == ["rev-parse", "log", *graph, "ls-tree"] + ["blame"] * 4
-    assert "--stdin-commits" in calls[2]
-    # every blame read a graph of head's history, without the late commit
+    # git log starts first, and the write once the objects' path is known
+    graph = ["rev-parse", "commit-graph"]
+    assert [git.subcommand for git in started] == [
+        "rev-parse", "log", *graph, "ls-tree", *["blame"] * 4
+    ]
+    assert "--stdin-commits" in started[3].proc.args
+    # the write read head from its stdin: every blame read a graph of head's
+    # history, without the late commit
     assert graphs == {frozenset(two_author_repo.git("rev-list", head).split())}
-    assert all(head in args for args in [calls[1], calls[4], *calls[5:]])
+    assert all(head in git.proc.args for git in [started[1], *started[4:]])
 
 
 def test_every_git_command_caps_the_delta_base_cache(monkeypatch, two_author_repo):
-    argvs = []
-    lock = threading.Lock()
-    real_start_git = history.start_git
-
-    def spy(*args):
-        proc = real_start_git(*args)
-        with lock:
-            argvs.append(proc.args)
-        return proc
-
-    monkeypatch.setattr(history, "start_git", spy)
+    started = _spy_on_start_git(monkeypatch)
     run(AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True))
     caches = defaultdict(set)
-    for argv in argvs:
-        end = 1
-        while argv[end] == "-c":  # the settings come before the subcommand
-            end += 2
+    for git in started:
         limits = tuple(
             setting
-            for setting in argv[2:end:2]
+            for setting in git.settings
             if setting.lower().startswith("core.deltabasecachelimit=")
         )
-        caches[argv[end]].add(limits)
+        caches[git.subcommand].add(limits)
     capped = {("core.deltaBaseCacheLimit=32m",)}
     assert caches == dict.fromkeys(
         ["rev-parse", "log", "ls-tree", "commit-graph", "blame"], capped
@@ -620,25 +633,50 @@ def test_blames_skip_commits_through_the_temporary_graph(
     assert sum(answers) > 0
 
 
+def _bits_per_entry(env: dict[str, str]) -> int:
+    """The width of the Bloom filters in the commit-graph that git reads in
+    ``env``: BDAT opens with their version, hash count and bits per entry."""
+    return struct.unpack_from(">III", _graph_chunks(env)["BDAT"])[2]
+
+
+def _spy_on_graph_widths(monkeypatch) -> list[int]:
+    """Spy on ``authorship.blame_rank`` and return the list it fills with the
+    filters' width in the graph that each blame reads."""
+    real_blame_rank = authorship.blame_rank
+    widths = []
+
+    def spy(*args, env, **kwargs):
+        widths.append(_bits_per_entry(env))
+        return real_blame_rank(*args, env=env, **kwargs)
+
+    monkeypatch.setattr(authorship, "blame_rank", spy)
+    return widths
+
+
 def test_blames_read_filters_of_32_bits_per_entry_whatever_the_environment(
     tmp_path, monkeypatch, two_author_repo
 ):
     monkeypatch.setenv("GIT_TEST_BLOOM_SETTINGS_BITS_PER_ENTRY", "10")
     trace = tmp_path / "trace2.json"
     monkeypatch.setenv("GIT_TRACE2_EVENT", str(trace))
-    real_blame_rank = authorship.blame_rank
-    widths = []
-
-    def spy(*args, env, **kwargs):
-        # BDAT opens with the filters' version, hash count and bits per entry
-        widths.append(struct.unpack_from(">III", _graph_chunks(env)["BDAT"])[2])
-        return real_blame_rank(*args, env=env, **kwargs)
-
-    monkeypatch.setattr(authorship, "blame_rank", spy)
+    widths = _spy_on_graph_widths(monkeypatch)
     config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
     assert run(config).blame_agreement.blame_failures == 0
     assert widths == [32] * 4
     assert len(_bloom_answers(trace)) == 4  # every blame read the filters
+
+
+def test_blames_read_filters_of_32_bits_per_entry_over_the_repositorys_own(
+    tmp_path, monkeypatch
+):
+    repo = rf.commit_graph_repo(tmp_path / "graph")
+    repo.git("commit-graph", "write", "--reachable", "--changed-paths", "--no-progress")
+    objects = str(repo.path / ".git" / "objects")
+    assert _bits_per_entry({"GIT_OBJECT_DIRECTORY": objects}) == 10
+    widths = _spy_on_graph_widths(monkeypatch)
+    config = AnalysisConfig(repo_path=str(repo.path), blame_compare=True)
+    assert run(config).blame_agreement.blame_failures == 0
+    assert widths == [32] * 4
 
 
 def test_a_repository_under_a_path_holding_the_separator_gets_the_graph(
@@ -656,6 +694,29 @@ def test_a_repository_under_a_path_holding_the_separator_gets_the_graph(
     assert len(_bloom_answers(trace)) == 4  # every blame read the filters
 
 
+@pytest.mark.parametrize("layout", ["worktree", "shared-clone"])
+def test_a_worktree_or_a_shared_clone_reports_like_its_source_through_the_graph(
+    tmp_path, monkeypatch, two_author_repo, layout
+):
+    # Neither reads its objects from <git_dir>/objects: a linked worktree's
+    # git directory is .git/worktrees/<name>, and a shared clone's objects
+    # are its source's, read as an alternate.
+    expected = _json_report(two_author_repo.path, blame_compare=True)
+    del expected["repository"]
+    path = tmp_path / layout
+    if layout == "worktree":
+        two_author_repo.git("worktree", "add", "-q", "--detach", str(path))
+    else:
+        two_author_repo.git("clone", "-q", "--shared", ".", str(path))
+    trace = tmp_path / "trace2.json"
+    monkeypatch.setenv("GIT_TRACE2_EVENT", str(trace))
+    report = _json_report(path, blame_compare=True)
+    assert report.pop("repository") == str(path)
+    assert report == expected
+    assert report["blame_agreement"]["blame_failures"] == 0
+    assert len(_bloom_answers(trace)) == 4  # every blame read the filters
+
+
 @pytest.mark.parametrize("kind", ["replace-ref", "shallow"])
 def test_blames_without_a_usable_graph_rank_as_before(tmp_path, two_author_repo, kind):
     if kind == "replace-ref":  # git writes a graph but reads none
@@ -669,7 +730,6 @@ def test_blames_without_a_usable_graph_rank_as_before(tmp_path, two_author_repo,
     files = history.list_snapshot_files(revision, FilterRules())
     with pipeline._changed_path_graph(revision) as graph:
         env = graph()
-        assert (env is None) == (kind == "shallow")
         for file in files:
             ranking = authorship.blame_rank(revision, file, {}, env=env)
             assert ranking == authorship.blame_rank(revision, file, {})
@@ -738,28 +798,19 @@ def test_a_failed_log_stops_the_graph_write_and_removes_its_directory(
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
     _put_git_on_path(tmp_path, monkeypatch, _LOGLESS_GIT)
-    subcommands = []
-    procs = []
-    real_start_git = history.start_git
-
-    def spy(repo_path, args, *rest):
-        proc = real_start_git(repo_path, args, *rest)
-        subcommands.append(args[0])
-        procs.append(proc)
-        return proc
-
-    monkeypatch.setattr(history, "start_git", spy)
+    started = _spy_on_start_git(monkeypatch)
     config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
     try:
         with pytest.raises(GitInvocationFailed, match="no log today"):
             run(config)
-        assert subcommands[:3] == ["rev-parse", "log", "commit-graph"]
-        assert [proc.poll() is not None for proc in procs] == [True] * len(procs)
+        subcommands = [git.subcommand for git in started[:4]]
+        assert subcommands == ["rev-parse", "log", "rev-parse", "commit-graph"]
+        assert [git.proc.poll() is not None for git in started] == [True] * len(started)
         assert not list(temp.iterdir())
     finally:  # a write left running is stopped all the same
-        for proc in procs:
-            proc.kill()
-            proc.wait()
+        for git in started:
+            git.proc.kill()
+            git.proc.wait()
 
 
 def test_branch_selection(branched_repo):
