@@ -18,7 +18,7 @@ import os
 import subprocess
 import tempfile
 from collections import Counter
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -137,21 +137,24 @@ _CHUNK_BYTES = 1 << 16
 _LOG_PIPE_BYTES = 1 << 20
 
 
+@contextmanager
 def start_git(
     repo_path: str | Path,
     args: Sequence[str],
     stderr: int | IO[bytes],
     env: Mapping[str, str] | None = None,
     input: bytes | None = None,
-) -> subprocess.Popen[bytes]:
+) -> Iterator[subprocess.Popen[bytes]]:
     """Start one git command in ``repo_path``, with the pinned config, its
-    stdout a pipe and its stderr going to ``stderr``. ``env`` replaces this
-    process's environment when given; otherwise git gets :func:`git_env`.
-    Either environment gets ``GIT_NO_LAZY_FETCH=1``, so git never fetches a
-    missing object, and ``GIT_FLUSH=0``. ``input``, when given, is written
-    to git's stdin, which is then closed; it must fit in the pipe (64 KiB
-    on Linux), since git may read it only later. A git that exits before
-    reading it fails its wait, not this call."""
+    stdout a pipe and its stderr going to ``stderr``, and yield it. However
+    the block ends, git is killed if it still runs, its stdout closed and
+    the process reaped. ``env`` replaces this process's environment when
+    given; otherwise git gets :func:`git_env`. Either environment gets
+    ``GIT_NO_LAZY_FETCH=1``, so git never fetches a missing object, and
+    ``GIT_FLUSH=0``. ``input``, when given, is written to git's stdin,
+    which is then closed; it must fit in the pipe (64 KiB on Linux), since
+    git may read it only later. A git that exits before reading it fails
+    its wait, not this call."""
     try:
         proc = subprocess.Popen(
             ["git", *_PINNED_CONFIG, *args],
@@ -163,10 +166,14 @@ def start_git(
         )
     except OSError as exc:
         raise GitInvocationFailed(" ".join(["git", *args]), str(exc)) from exc
-    if proc.stdin is not None:
-        with suppress(BrokenPipeError), proc.stdin:
-            proc.stdin.write(cast(bytes, input))
-    return proc
+    with proc:  # closes the pipes and reaps git
+        try:
+            if proc.stdin is not None:
+                with suppress(BrokenPipeError), proc.stdin:
+                    proc.stdin.write(cast(bytes, input))
+            yield proc
+        finally:
+            proc.kill()  # does nothing once git has been reaped
 
 
 def _failure(
@@ -213,7 +220,8 @@ def run_git(
 @dataclass(frozen=True)
 class Revision:
     """The analyzed revision resolved to one commit object id, and the
-    absolute git directory that later git commands run in."""
+    repository's absolute common git directory, which holds its objects in
+    ``objects`` and where later git commands run."""
 
     commit: str
     shallow: bool
@@ -223,16 +231,17 @@ class Revision:
 def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revision:
     """Check the repository and resolve ``branch`` (default ``HEAD``) once.
 
-    One ``git rev-parse`` opens the repository, finds its git directory,
-    reports whether it is a shallow clone and peels the revision to a commit
-    id. Passing that id to every later git command keeps them on one commit
-    even if the ref moves meanwhile, and running them in the git directory
-    makes every path repository-relative, even when ``repo_path`` is a
-    subdirectory of the work tree. Raises :class:`NotARepository`, with
-    git's first line of stderr, such as its refusal of a repository that
-    another user owns; :class:`EmptyRepository` (``HEAD`` has no commit); or
-    :class:`GitInvocationFailed` (the revision does not name a commit, or
-    git cannot be started).
+    One ``git rev-parse`` opens the repository, finds its common git
+    directory, reports whether it is a shallow clone and peels the revision
+    to a commit id. Passing that id to every later git command keeps them on
+    one commit even if the ref moves meanwhile, and running them in the
+    common directory makes every path repository-relative, even when
+    ``repo_path`` is a subdirectory or a linked worktree, whose own git
+    directory gives only the ``HEAD`` that this call reads. Raises
+    :class:`NotARepository`, with git's first line of stderr, such as its
+    refusal of a repository that another user owns; :class:`EmptyRepository`
+    (``HEAD`` has no commit); or :class:`GitInvocationFailed` (the revision
+    does not name a commit, or git cannot be started).
     """
     if not Path(repo_path).is_dir():
         raise NotARepository(f"{repo_path}: no such directory")
@@ -242,7 +251,8 @@ def resolve_revision(repo_path: str | Path, branch: str | None = None) -> Revisi
             repo_path,
             [
                 "rev-parse",
-                "--absolute-git-dir",
+                "--path-format=absolute",
+                "--git-common-dir",
                 "--is-shallow-repository",
                 "--verify",
                 "--quiet",
@@ -384,8 +394,9 @@ def _log(revision: Revision) -> Generator[Commit | None, None, None]:
         "--name-status",
         "--pretty=format:%x00%H%x00%an%x00%ae",
     ]
-    with tempfile.TemporaryFile() as errors:
-        proc = start_git(revision.git_dir, args, errors)
+    with tempfile.TemporaryFile() as errors, start_git(
+        revision.git_dir, args, errors
+    ) as proc:
 
         def chunks() -> Iterator[bytes]:
             while chunk := proc.stdout.read1(_CHUNK_BYTES):
@@ -396,14 +407,9 @@ def _log(revision: Revision) -> Generator[Commit | None, None, None]:
                 message = errors.read().decode("utf-8", "replace").strip()
                 raise _failure(revision.git_dir, args, message)
 
-        try:
-            _widen(proc.stdout)
-            yield None
-            yield from parse_log(chunks())
-        finally:
-            proc.kill()  # does nothing once git has been reaped
-            proc.stdout.close()
-            proc.wait()
+        _widen(proc.stdout)
+        yield None
+        yield from parse_log(chunks())
 
 
 def _widen(pipe: IO[bytes]) -> None:

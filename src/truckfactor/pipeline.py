@@ -117,9 +117,7 @@ def _changed_path_graph(
     and no graph changes what blame prints. On exit, however it comes,
     git is stopped and the directory removed.
     """
-    git_dir = revision.git_dir
-    objects = history.run_git(git_dir, ["rev-parse", "--git-path", "objects"])
-    objects = _alternate(os.path.join(git_dir, objects[:-1]))
+    objects = _alternate(os.path.join(revision.git_dir, "objects"))
     env = {
         key: value
         for key, value in history.git_env().items()
@@ -129,32 +127,26 @@ def _changed_path_graph(
     env["GIT_ALTERNATE_OBJECT_DIRECTORIES"] = os.pathsep.join(
         filter(None, [objects, env.get("GIT_ALTERNATE_OBJECT_DIRECTORIES")])
     )
-    with tempfile.TemporaryDirectory() as tmp:
+    args = [
+        "-c",  # after the pinned settings: the last -c wins
+        "commitGraph.readChangedPaths=false",
+        "commit-graph",
+        "write",
+        "--stdin-commits",
+        "--changed-paths",
+        "--max-new-filters=-1",
+        "--no-progress",
+    ]
+    commit = f"{revision.commit}\n".encode()
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "wb") as devnull:
         env["GIT_OBJECT_DIRECTORY"] = os.path.abspath(tmp)  # git runs elsewhere
-        args = [
-            "-c",  # after the pinned settings: the last -c wins
-            "commitGraph.readChangedPaths=false",
-            "commit-graph",
-            "write",
-            "--stdin-commits",
-            "--changed-paths",
-            "--max-new-filters=-1",
-            "--no-progress",
-        ]
-        with open(os.devnull, "wb") as devnull:
-            commit = f"{revision.commit}\n".encode()
-            proc = history.start_git(git_dir, args, devnull, env, commit)
+        with history.start_git(revision.git_dir, args, devnull, env, commit) as proc:
 
-        def graph() -> dict[str, str]:
-            proc.wait()
-            return env
+            def graph() -> dict[str, str]:
+                proc.wait()
+                return env
 
-        try:
             yield graph
-        finally:
-            proc.kill()  # does nothing once git has been reaped
-            proc.stdout.close()
-            proc.wait()
 
 
 def _blame_agreement(
@@ -217,6 +209,9 @@ def run(config: AnalysisConfig) -> Report:
     """Analyze one repository and return the full report."""
     _validate(config)
     rules = _build_rules(config)
+    overrides = (
+        identity.load_alias_overrides(config.alias_file) if config.alias_file else None
+    )
     revision = history.resolve_revision(config.repo_path, config.branch)
     commit_counts: Counter[identity.RawUser] = Counter()
     with ExitStack() as stack:
@@ -231,11 +226,6 @@ def run(config: AnalysisConfig) -> Report:
         targets = history.list_snapshot_files(revision, rules)
         traces = history.trace_files(_counting(log, commit_counts), targets)
         users = commit_counts.keys()
-        overrides = (
-            identity.load_alias_overrides(config.alias_file)
-            if config.alias_file
-            else None
-        )
         candidates = (
             identity.name_merge_candidates(users) if config.alias_report else None
         )
@@ -254,7 +244,7 @@ def run(config: AnalysisConfig) -> Report:
         result = estimate.truck_factor(
             author_map, threshold=config.coverage, universe=universe
         )
-        low_initial = not result.removed and result.initial_coverage < config.coverage
+        low_initial = result.initial_coverage < config.coverage
 
         warnings: list[str] = []
         migration = (

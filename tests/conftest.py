@@ -1,8 +1,10 @@
 import os
+from contextlib import contextmanager
 
 import pytest
 
 import repo_fixtures as rf
+from truckfactor import history
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -14,6 +16,29 @@ def _hermetic_git():
         patch.setenv("GIT_CONFIG_GLOBAL", os.devnull)
         patch.setenv("GIT_CONFIG_NOSYSTEM", "1")
         yield
+
+
+@pytest.fixture
+def started_git(monkeypatch):
+    """Spy on ``history.start_git`` and return the list it fills, in start
+    order, with every git process the package starts; the blame pool's
+    threads append to it too, which a list does atomically. Any git still
+    running at teardown is killed."""
+    started = []
+    real_start_git = history.start_git
+
+    @contextmanager
+    def spy(*args, **kwargs):
+        with real_start_git(*args, **kwargs) as proc:
+            started.append(proc)
+            yield proc
+
+    monkeypatch.setattr(history, "start_git", spy)
+    yield started
+    for proc in started:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 @pytest.fixture

@@ -272,16 +272,9 @@ _RECORD = "\\0" + "c" * 40 + "\\0Cy\\0c@x\\nA\\0a.py\\0\\0"
 
 
 @pytest.fixture
-def fake_git(tmp_path, monkeypatch):
+def fake_git(tmp_path, monkeypatch, started_git):
     """A function that puts a fake git first on PATH, one that runs BODY
-    for "log", and returns the list of the processes start_git starts.
-    Any still running at teardown are killed."""
-    started = []
-    real_start_git = history.start_git
-
-    def spy(*args):
-        started.append(real_start_git(*args))
-        return started[-1]
+    for "log", and returns the list of the processes start_git starts."""
 
     def install(body):
         script = tmp_path / "bin" / "git"
@@ -290,14 +283,14 @@ def fake_git(tmp_path, monkeypatch):
         script.write_text(_FAKE_GIT.format(python=sys.executable, git=git, body=body))
         script.chmod(0o755)
         monkeypatch.setenv("PATH", f"{script.parent}{os.pathsep}{os.environ['PATH']}")
-        monkeypatch.setattr(history, "start_git", spy)
-        return started
+        return started_git
 
-    yield install
-    for proc in started:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+    return install
+
+
+def _log_process(started):
+    (log,) = [proc for proc in started if "log" in proc.args]
+    return log
 
 
 def test_a_full_stderr_does_not_stall_the_log(fake_git, single_author_repo):
@@ -323,8 +316,7 @@ def test_a_malformed_record_stops_git(fake_git, single_author_repo):
     with pytest.raises(GitInvocationFailed, match="malformed change 'M'"):
         list(read_log(revision))
     assert time.monotonic() - began < 10  # git was stopped, not waited for
-    (log,) = started
-    assert log.poll() is not None
+    assert _log_process(started).poll() is not None
 
 
 @pytest.mark.parametrize(
@@ -343,8 +335,7 @@ def test_a_git_that_fails_raises_its_stderr_where_its_output_ends(
         list(read_log(revision))
     assert failure.value.command.startswith("git log")
     assert failure.value.stderr == "fatal: lost"
-    (log,) = started
-    assert log.poll() is not None
+    assert _log_process(started).poll() is not None
 
 
 def test_a_consumer_that_raises_stops_git(fake_git, monkeypatch, single_author_repo):
@@ -363,11 +354,6 @@ def test_a_consumer_that_raises_stops_git(fake_git, monkeypatch, single_author_r
     assert time.monotonic() - began < 10  # git was stopped, not waited for
     assert [proc for proc in started if "log" in proc.args]
     assert all(proc.poll() is not None for proc in started)
-
-
-def _log_process(started):
-    (log,) = [proc for proc in started if "log" in proc.args]
-    return log
 
 
 def test_a_listing_that_fails_stops_the_early_log(
@@ -622,6 +608,24 @@ def test_trace_does_not_absorb_a_reused_old_path(tmp_path):
     assert a_trace.creating_commit == builder.git("rev-parse", "HEAD~").strip()
 
 
+def test_a_rename_to_a_path_that_is_not_live_ends_the_old_paths_trace(tmp_path):
+    # Bob renames Alice's X.py to Y.py; a merge commit, which the log skips,
+    # adds a new X.py; Carol deletes Y.py. Alice's X.py is not today's.
+    builder = rf.RepoBuilder(tmp_path / "repo")
+    builder.commit_file("X.py", "x = 1\n" * 3, "add X", rf.ALICE)
+    builder.move("X.py", "Y.py", "rename X to Y", rf.BOB)
+    builder.git("checkout", "-q", "-b", "side")
+    builder.commit_file("side.py", "side\n", "add side", rf.DAVE)
+    builder.git("checkout", "-q", "main")
+    builder.git("merge", "-q", "--no-ff", "--no-commit", "side")
+    builder.commit_file("X.py", "new\n", "merge side with a new X", rf.DAVE)
+    builder.git("rm", "-q", "Y.py")
+    builder.git("commit", "-q", "-m", "drop Y", user=rf.CAROL)
+    (trace,) = trace_files(read_log(resolve_revision(builder.path)), ["X.py"])
+    assert trace.deliveries == {}
+    assert trace.creator is None
+
+
 def test_trace_of_unknown_target_is_empty_and_incomplete():
     (trace,) = trace_files([], ["ghost.py"])
     assert trace == FileTrace("ghost.py")
@@ -677,6 +681,16 @@ def test_concentrated_additions_are_suspicious():
     assert verdict.suspicious
     assert verdict.fraction_covered == pytest.approx(0.6)
     assert verdict.adding_commits == 5
+
+
+@pytest.mark.parametrize(
+    "files, commits, suspicious", [(37, 19, True), (38, 20, False)]
+)
+def test_migration_is_suspected_below_20_adding_commits(files, commits, suspicious):
+    traces = [_trace_of(f"f{i}.py", (f"c{i}", "A")) for i in range(files)]
+    verdict = check_migration(traces)
+    assert verdict.adding_commits == commits
+    assert verdict.suspicious is suspicious
 
 
 def test_migration_check_handles_no_traces_and_no_additions():

@@ -13,7 +13,6 @@ import threading
 import time
 from collections import defaultdict
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 
@@ -190,6 +189,21 @@ def test_two_developers_sharing_a_label_stay_apart(tmp_path):
     assert [r.coverage_after for r in report.removed] == [0.5, 0.0]
 
 
+@pytest.mark.parametrize("rules", ["alice@x Bob\n", None], ids=["malformed", "missing"])
+def test_a_bad_alias_file_fails_before_any_git_starts(
+    tmp_path, started_git, single_author_repo, rules
+):
+    aliases = tmp_path / "aliases.txt"
+    if rules is not None:
+        aliases.write_text(rules, encoding="utf-8")
+    config = AnalysisConfig(
+        repo_path=str(single_author_repo.path), alias_file=str(aliases)
+    )
+    with pytest.raises(ValueError if rules else FileNotFoundError):
+        run(config)
+    assert started_git == []
+
+
 def test_blame_comparison_on_single_author_repo(single_author_repo):
     report = run(
         AnalysisConfig(repo_path=str(single_author_repo.path), blame_compare=True, seed=3)
@@ -212,16 +226,18 @@ def test_blame_pool_tallies_like_a_sequential_loop(monkeypatch):
     files = [f"f{i:02d}.py" for i in range(40)]
     author_map = AuthorFileMap(defaultdict(set))
     for i, file in enumerate(files):
-        for step in (1, 2):
-            author_map.entries[developers[(i * step) % 5]].add(file)
+        for step in (0, 1, 2):
+            author_map.entries[developers[(i + step) % 5]].add(file)
     lock = threading.Lock()
     running = peak = 0
+    blamed = []
 
     def fake_blame_rank(revision, file, alias_map, *, env=None):
         nonlocal running, peak
         with lock:
             running += 1
             peak = max(peak, running)
+            blamed.append(file)
         try:
             time.sleep(random.Random(file).uniform(0.001, 0.005))
             n = int(file[1:3])
@@ -245,38 +261,47 @@ def test_blame_pool_tallies_like_a_sequential_loop(monkeypatch):
     assert pooled == sequential
     assert pooled.blame_failures == 6
     assert pooled.files_sampled == 40
-    assert 0 < pooled.none_pct < 100
+    # File n's ranking holds developers n, n+1, ... (mod 5), n % 5 of them,
+    # so its author n + step (mod 5) is ranked at place `step` when
+    # step < n % 5, and not at all otherwise.
+    top1 = top3 = none = third = pairs = 0
+    for n in range(40):
+        if n % 7 == 3:  # blame failed
+            continue
+        for step in (0, 1, 2):
+            place = step if step < n % 5 else None
+            pairs += 1
+            top1 += place == 0
+            top3 += place is not None
+            none += place is None
+            third += place == 2
+    assert third > 0
+    assert pooled.pairs_compared == pairs
+    assert pooled.top1_pct == 100.0 * top1 / pairs
+    assert pooled.top3_pct == 100.0 * top3 / pairs
+    assert pooled.none_pct == 100.0 * none / pairs
+    # Beyond the sample size, the sample is drawn with the seed.
+    monkeypatch.setattr(pipeline, "BLAME_SAMPLE_SIZE", 10)
+    blamed.clear()
+    sampled = pipeline._blame_agreement(revision, files, author_map, {}, 4, no_graph)
+    assert sampled.files_sampled == 10
+    assert sorted(blamed) == sorted(random.Random(4).sample(files, 10))
 
 
-class _StartedGit(NamedTuple):
-    subcommand: str
-    settings: list[str]  # the values of the leading -c pairs
-    proc: subprocess.Popen
+def _command(proc: subprocess.Popen) -> tuple[list[str], str]:
+    """The values of a git's leading ``-c`` pairs, and its subcommand."""
+    end = 1
+    while proc.args[end] == "-c":
+        end += 2
+    return proc.args[2:end:2], proc.args[end]
 
 
-def _spy_on_start_git(monkeypatch) -> list[_StartedGit]:
-    """Spy on ``history.start_git`` and return the list it fills, in start
-    order, with every git it starts; the subcommand is the first argument
-    after the leading ``-c`` pairs."""
-    started = []
-    lock = threading.Lock()
-    real_start_git = history.start_git
-
-    def spy(*args, **kwargs):
-        proc = real_start_git(*args, **kwargs)
-        end = 1
-        while proc.args[end] == "-c":
-            end += 2
-        with lock:
-            started.append(_StartedGit(proc.args[end], proc.args[2:end:2], proc))
-        return proc
-
-    monkeypatch.setattr(history, "start_git", spy)
-    return started
+def _subcommands(started: list[subprocess.Popen]) -> list[str]:
+    return [_command(proc)[1] for proc in started]
 
 
 def test_git_commands_read_the_commit_resolved_at_the_start(
-    monkeypatch, two_author_repo
+    monkeypatch, started_git, two_author_repo
 ):
     head = two_author_repo.head()
     graphs = set()
@@ -296,7 +321,6 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
             graphs.add(frozenset(textwrap.wrap(ids, len(head))))
         return real_blame_rank(*args, env=env, **kwargs)
 
-    started = _spy_on_start_git(monkeypatch)
     monkeypatch.setattr(history, "resolve_revision", resolve_revision_spy)
     monkeypatch.setattr(authorship, "blame_rank", blame_rank_spy)
     config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
@@ -304,29 +328,28 @@ def test_git_commands_read_the_commit_resolved_at_the_start(
     assert two_author_repo.head() != head
     assert report.head_commit == head
     assert report.totals == {"developers": 2, "authors": 2, "files": 4, "commits": 7}
-    # git log starts first, and the write once the objects' path is known
-    graph = ["rev-parse", "commit-graph"]
-    assert [git.subcommand for git in started] == [
-        "rev-parse", "log", *graph, "ls-tree", *["blame"] * 4
+    # git log starts first, and the write right after it
+    assert _subcommands(started_git) == [
+        "rev-parse", "log", "commit-graph", "ls-tree", *["blame"] * 4
     ]
-    assert "--stdin-commits" in started[3].proc.args
+    assert "--stdin-commits" in started_git[2].args
     # the write read head from its stdin: every blame read a graph of head's
     # history, without the late commit
     assert graphs == {frozenset(two_author_repo.git("rev-list", head).split())}
-    assert all(head in git.proc.args for git in [started[1], *started[4:]])
+    assert all(head in proc.args for proc in [started_git[1], *started_git[3:]])
 
 
-def test_every_git_command_caps_the_delta_base_cache(monkeypatch, two_author_repo):
-    started = _spy_on_start_git(monkeypatch)
+def test_every_git_command_caps_the_delta_base_cache(started_git, two_author_repo):
     run(AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True))
     caches = defaultdict(set)
-    for git in started:
+    for proc in started_git:
+        settings, subcommand = _command(proc)
         limits = tuple(
             setting
-            for setting in git.settings
+            for setting in settings
             if setting.lower().startswith("core.deltabasecachelimit=")
         )
-        caches[git.subcommand].add(limits)
+        caches[subcommand].add(limits)
     capped = {("core.deltaBaseCacheLimit=32m",)}
     assert caches == dict.fromkeys(
         ["rev-parse", "log", "ls-tree", "commit-graph", "blame"], capped
@@ -792,25 +815,18 @@ os.execv({git!r}, [{git!r}, *sys.argv[1:]])
 
 
 def test_a_failed_log_stops_the_graph_write_and_removes_its_directory(
-    tmp_path, monkeypatch, two_author_repo
+    tmp_path, monkeypatch, started_git, two_author_repo
 ):
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
     _put_git_on_path(tmp_path, monkeypatch, _LOGLESS_GIT)
-    started = _spy_on_start_git(monkeypatch)
     config = AnalysisConfig(repo_path=str(two_author_repo.path), blame_compare=True)
-    try:
-        with pytest.raises(GitInvocationFailed, match="no log today"):
-            run(config)
-        subcommands = [git.subcommand for git in started[:4]]
-        assert subcommands == ["rev-parse", "log", "rev-parse", "commit-graph"]
-        assert [git.proc.poll() is not None for git in started] == [True] * len(started)
-        assert not list(temp.iterdir())
-    finally:  # a write left running is stopped all the same
-        for git in started:
-            git.proc.kill()
-            git.proc.wait()
+    with pytest.raises(GitInvocationFailed, match="no log today"):
+        run(config)
+    assert _subcommands(started_git)[:3] == ["rev-parse", "log", "commit-graph"]
+    assert all(proc.poll() is not None for proc in started_git)
+    assert not list(temp.iterdir())
 
 
 def test_branch_selection(branched_repo):
