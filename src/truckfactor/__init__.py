@@ -16,12 +16,15 @@ Typical library use::
 The same pipeline is available on the command line as ``truckfactor``.
 Its stages are exported here too; every other name is importable from its
 own module. The stages that read git take the revision that
-``resolve_revision`` resolves once, so they all read the same commit::
+``resolve_revision`` resolves once, so they all read the same commit.
+``read_log`` is a ``with`` block: git log runs while the block lists the
+snapshot, and leaving the block stops it::
 
     from truckfactor import list_snapshot_files, read_log, resolve_revision, trace_files
 
     rev = resolve_revision("/path/to/repo")
-    traces = trace_files(read_log(rev), list_snapshot_files(rev))
+    with read_log(rev) as commits:
+        traces = trace_files(commits, list_snapshot_files(rev))
 """
 
 from .authorship import blame_rank, score_trace, select_authors

@@ -9,7 +9,8 @@ glob patterns and explicit path prefixes on top.
 
 Globs follow the familiar ignore-file conventions: a pattern without ``/``
 matches against the basename at any depth, a pattern with ``/`` matches
-against the full repository-relative path, and ``**`` spans any number of
+against the full repository-relative path (so a leading ``/``, as in
+``/build.py``, anchors a name to the root), and ``**`` spans any number of
 path segments. An invalid glob, such as an empty one or ``[z-a]``, raises
 ``ValueError`` when :class:`FilterRules` is built.
 """
@@ -79,8 +80,9 @@ def _translate_segment(segment: str) -> str:
 
 
 def _normalize_glob(pattern: str) -> str:
-    pattern = pattern.strip().lstrip("/")
-    if not pattern:
+    # A leading "/" stays: it anchors a pattern that has no other "/".
+    pattern = pattern.strip()
+    if not pattern.lstrip("/"):
         raise ValueError("empty glob pattern")
     if pattern.endswith("/"):  # trailing slash means "everything under"
         pattern += "**"
@@ -104,7 +106,7 @@ def _path_regex(pattern: str) -> str:
     if "/" not in pattern:
         return rf"(?:^|.*/){_translate_segment(pattern)}\Z"
     regex = "^"
-    parts = pattern.split("/")
+    parts = pattern.lstrip("/").split("/")
     for i, part in enumerate(parts):
         last = i == len(parts) - 1
         if part == "**":

@@ -5,11 +5,12 @@ mutates the repository, and no git fetches: a partial clone that lacks
 objects git needs raises :class:`PartialClone`. Merge commits are
 suppressed so every change is counted once, on the branch where it was
 made, and renames are detected so a file's history survives being moved.
-:func:`read_log` starts ``git log`` as soon as it is called, so git can
-compute its diffs while the caller lists the snapshot, and raises git's
-failure where git's output ends, after the commits read before it. Every
-reader takes the :class:`Revision` that :func:`resolve_revision` returns,
-and runs git in its git directory at its commit.
+:func:`read_log` is a ``with`` block: ``git log`` starts as the block is
+entered, so git can compute its diffs while the block lists the snapshot,
+and is stopped as the block is left. git's failure is raised where git's
+output ends, after the commits read before it. Every reader takes the
+:class:`Revision` that :func:`resolve_revision` returns, and runs git in
+its git directory at its commit.
 """
 
 from __future__ import annotations
@@ -22,16 +23,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import (
-    IO,
-    Generator,
-    Iterable,
-    Iterator,
-    Mapping,
-    NamedTuple,
-    Sequence,
-    cast,
-)
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence, cast
 
 from .errors import (
     EmptyRepository,
@@ -94,7 +86,8 @@ class FileTrace:
 # from 175.9 to 102.0 MiB on a 60,000-commit history, with its CPU time
 # within noise; 48 MiB saved nothing on deep-history. Other commands hold
 # less: each blame of the audit benchmark peaked at 17.2 MiB, so the cap did
-# not bind there (see the README's caveats).
+# not bind there (see the README's caveats). start_git adds one more,
+# core.useReplaceRefs, which follows GIT_NO_REPLACE_OBJECTS.
 _PINNED_CONFIG = (
     "-c", "log.showRoot=true",
     "-c", "log.showSignature=false",
@@ -151,15 +144,21 @@ def start_git(
     the process reaped. ``env`` replaces this process's environment when
     given; otherwise git gets :func:`git_env`. Either environment gets
     ``GIT_NO_LAZY_FETCH=1``, so git never fetches a missing object, and
-    ``GIT_FLUSH=0``. ``input``, when given, is written to git's stdin,
-    which is then closed; it must fit in the pipe (64 KiB on Linux), since
-    git may read it only later. A git that exits before reading it fails
-    its wait, not this call."""
+    ``GIT_FLUSH=0``. git follows replace refs unless that environment sets
+    ``GIT_NO_REPLACE_OBJECTS``: ``core.useReplaceRefs`` is pinned to match,
+    since a user's ``false`` would otherwise change the answer, and a
+    pinned ``true`` alone would override the variable. ``input``, when
+    given, is written to git's stdin, which is then closed; it must fit in
+    the pipe (64 KiB on Linux), since git may read it only later. A git
+    that exits before reading it fails its wait, not this call."""
+    env = {**(git_env() if env is None else env), **_GIT_ENV}
+    replace_refs = "false" if "GIT_NO_REPLACE_OBJECTS" in env else "true"
+    pinned = (*_PINNED_CONFIG, "-c", f"core.useReplaceRefs={replace_refs}")
     try:
         proc = subprocess.Popen(
-            ["git", *_PINNED_CONFIG, *args],
+            ["git", *pinned, *args],
             cwd=str(repo_path),
-            env={**(git_env() if env is None else env), **_GIT_ENV},
+            env=env,
             stdin=None if input is None else subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=stderr,
@@ -360,31 +359,27 @@ def parse_log(chunks: Iterable[bytes]) -> Iterator[Commit]:
         yield Commit(commit_id, author, changes)
 
 
-def read_log(revision: Revision) -> Generator[Commit, None, None]:
-    """Every non-merge commit reachable from ``revision``, newest first,
-    parsed while ``git log`` is still running.
+@contextmanager
+def read_log(revision: Revision) -> Iterator[Iterator[Commit]]:
+    """Start ``git log`` and yield an iterator over every non-merge commit
+    reachable from ``revision``, newest first, parsed while git still runs::
+
+        with read_log(revision) as commits:
+            traces = trace_files(commits, list_snapshot_files(revision))
 
     Merge commits are excluded, so every change is counted once, on the
     branch where it was made, and renames are detected, so a file's history
-    survives being moved. git starts when this function is called, not at
-    the first commit read, so it computes its diffs while the caller does
-    other work, such as listing the snapshot; its stdout pipe is widened
-    where the system allows, so git is not stopped by a full pipe meanwhile.
-    git's stderr goes to a temporary file, so it can never fill up while its
-    stdout is being read. Closing or dropping the generator, read or not,
-    or an error while reading, stops git. When git fails,
-    :class:`PartialClone` or :class:`GitInvocationFailed`, carrying git's
-    stderr, is raised where git's output ends; the commits yielded before
-    it stay valid.
+    survives being moved. git starts when the block is entered, not at the
+    first commit read, so it computes its diffs while the block does other
+    work, such as listing the snapshot; its stdout pipe is widened where
+    the system allows, so git is not stopped by a full pipe meanwhile.
+    git's stderr goes to a temporary file, so it can never fill up while
+    its stdout is being read. Leaving the block, read or not, by return or
+    by exception, stops git, so the commits are read inside it. When git
+    fails, :class:`PartialClone` or :class:`GitInvocationFailed`, carrying
+    git's stderr, is raised where git's output ends; the commits yielded
+    before it stay valid.
     """
-    log = _log(revision)
-    next(log)  # runs up to the first yield, just after git started
-    return cast(Generator[Commit, None, None], log)
-
-
-def _log(revision: Revision) -> Generator[Commit | None, None, None]:
-    """:func:`read_log`'s generator: ``None`` once git has started, then the
-    commits. Closing it at that first yield stops git too."""
     args = [
         "log",
         "-z",
@@ -408,8 +403,7 @@ def _log(revision: Revision) -> Generator[Commit | None, None, None]:
                 raise _failure(revision.git_dir, args, message)
 
         _widen(proc.stdout)
-        yield None
-        yield from parse_log(chunks())
+        yield parse_log(chunks())
 
 
 def _widen(pipe: IO[bytes]) -> None:
@@ -426,12 +420,13 @@ def _widen(pipe: IO[bytes]) -> None:
 # Kept only because perfbench/tracer.py wraps it; see ROADMAP item 3.
 def collect_history(revision: Revision) -> list[Commit]:
     """The commits of :func:`read_log` in one list."""
-    return list(read_log(revision))
+    with read_log(revision) as commits:
+        return list(commits)
 
 
 def trace_files(commits: Iterable[Commit], targets: Iterable[str]) -> list[FileTrace]:
     """Fold each target's history out of one replay of ``commits``, newest
-    first, as :func:`read_log` yields them.
+    first, as the block of :func:`read_log` gets them.
 
     ``live`` maps each path to the trace of the file found there at the
     current point of the replay, starting from the targets. A change at a

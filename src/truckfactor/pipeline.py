@@ -13,7 +13,7 @@ import os
 import random
 import tempfile
 from collections import Counter
-from contextlib import ExitStack, closing, contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -214,15 +214,10 @@ def run(config: AnalysisConfig) -> Report:
     )
     revision = history.resolve_revision(config.repo_path, config.branch)
     commit_counts: Counter[identity.RawUser] = Counter()
-    with ExitStack() as stack:
-        # git log runs from here on, while the snapshot is listed and
-        # filtered, and so does the write of the graph that blames read.
-        log = stack.enter_context(closing(history.read_log(revision)))
-        graph = (
-            stack.enter_context(_changed_path_graph(revision))
-            if config.blame_compare
-            else None
-        )
+    graph_cm = _changed_path_graph(revision) if config.blame_compare else nullcontext()
+    # git log runs from here on, while the snapshot is listed and filtered,
+    # and so does the write of the graph that blames read.
+    with history.read_log(revision) as log, graph_cm as graph:
         targets = history.list_snapshot_files(revision, rules)
         traces = history.trace_files(_counting(log, commit_counts), targets)
         users = commit_counts.keys()

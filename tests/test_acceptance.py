@@ -161,7 +161,8 @@ def test_fixture_repositories_end_to_end(tmp_path):
 
         renamed = rf.rename_repo(tmp_path / "ren")
         revision = resolve_revision(renamed.path)
-        commits = list(read_log(revision))
+        with read_log(revision) as log:
+            commits = list(log)
         traces = trace_files(commits, list_snapshot_files(revision))
         alias_map = resolve_aliases({c.author for c in commits})
         records = [r for t in traces for r in score_trace(t, alias_map)]
@@ -260,7 +261,8 @@ def test_raising_k_never_enlarges_the_author_set(tmp_path):
     try:
         repo = rf.two_author_repo(tmp_path / "two")
         revision = resolve_revision(repo.path)
-        commits = list(read_log(revision))
+        with read_log(revision) as log:
+            commits = list(log)
         targets = list_snapshot_files(revision)
         alias_map = resolve_aliases({c.author for c in commits})
         traces = trace_files(commits, targets)

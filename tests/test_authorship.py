@@ -421,8 +421,8 @@ def test_select_authors_equals_the_cut_of_score_trace_records(inputs):
 
 
 def _alias_map_for(repo):
-    commits = read_log(resolve_revision(repo.path))
-    return resolve_aliases({c.author for c in commits})
+    with read_log(resolve_revision(repo.path)) as commits:
+        return resolve_aliases({c.author for c in commits})
 
 
 def _blame(repo, file, alias_map, **kwargs):

@@ -52,6 +52,11 @@ from truckfactor.identity import load_alias_overrides
         # a trailing slash means everything underneath
         ("docs/", "docs/index.html", True),
         ("docs/", "docs", False),
+        # a leading slash anchors a pattern to the root, even a plain name
+        ("/build.py", "build.py", True),
+        ("/build.py", "sub/build.py", False),
+        ("/gen/", "gen/a.py", True),
+        ("/gen/", "sub/gen/a.py", False),
     ],
 )
 def test_compile_glob(pattern, path, matches):

@@ -1,5 +1,4 @@
 import ast
-import gc
 import os
 import shutil
 import sys
@@ -45,6 +44,12 @@ def _trace_of(path, *commit_kind_pairs):
     return trace
 
 
+def _commits(revision):
+    """The commits of :func:`read_log`, newest first, in one list."""
+    with read_log(revision) as commits:
+        return list(commits)
+
+
 # --- list_snapshot_files ---------------------------------------------------
 
 
@@ -84,9 +89,9 @@ def test_snapshot_keeps_blobs_and_symlinks_but_not_gitlinks(gitlink_repo):
 def test_library_traces_are_the_same_from_a_subdirectory(single_author_repo):
     def traces(path):
         revision = resolve_revision(path)
-        return trace_files(
-            read_log(revision), list_snapshot_files(revision, FilterRules(builtin_vendored=[]))
-        )
+        with read_log(revision) as commits:
+            rules = FilterRules(builtin_vendored=[])
+            return trace_files(commits, list_snapshot_files(revision, rules))
 
     from_root = traces(single_author_repo.path)
     assert [t.current_path for t in from_root] == ["src/f1.py", "src/f2.py", "src/f3.py"]
@@ -160,7 +165,7 @@ def test_resolve_revision_detects_shallow_clones(tmp_path, two_author_repo):
 
 
 def test_history_yields_additions_oldest_first(single_author_repo):
-    commits = list(read_log(resolve_revision(single_author_repo.path)))[::-1]
+    commits = _commits(resolve_revision(single_author_repo.path))[::-1]
     assert [c.changes for c in commits] == [
         [("A", f"src/f{i}.py", None)] for i in (1, 2, 3)
     ]
@@ -171,14 +176,14 @@ def test_history_yields_additions_oldest_first(single_author_repo):
 
 
 def test_history_records_renames_with_old_path(rename_repo):
-    rename, addition = read_log(resolve_revision(rename_repo.path))
+    rename, addition = _commits(resolve_revision(rename_repo.path))
     assert addition.changes == [("A", "src/original.py", None)]
     assert rename.changes == [("R", "src/renamed.py", "src/original.py")]
     assert rename.author == RawUser("Dave", "dave@example.com")
 
 
 def test_history_excludes_merge_commits(merge_repo):
-    commits = list(read_log(resolve_revision(merge_repo.path)))
+    commits = _commits(resolve_revision(merge_repo.path))
     assert len(commits) == 3
     merge_sha = resolve_revision(merge_repo.path).commit
     assert merge_sha not in {c.commit_id for c in commits}
@@ -190,7 +195,7 @@ def test_history_drops_deletions(tmp_path):
     builder.git("rm", "-q", "f.txt")
     builder.git("commit", "-q", "-m", "remove", user=rf.ALICE)
     builder.commit_file("f.txt", "v2\n", "re-add", rf.BOB)
-    commits = read_log(resolve_revision(builder.path))
+    commits = _commits(resolve_revision(builder.path))
     assert [(c.author.name, c.changes) for c in commits] == [
         ("Bob", [("A", "f.txt", None)]),
         ("Alice", []),
@@ -199,7 +204,7 @@ def test_history_drops_deletions(tmp_path):
 
 
 def test_history_counts_modifications(two_author_repo):
-    commits = read_log(resolve_revision(two_author_repo.path))
+    commits = _commits(resolve_revision(two_author_repo.path))
     f3 = [kind for c in commits for kind, path, _ in c.changes if path == "f3.py"]
     assert f3 == ["M", "M", "M", "A"]
 
@@ -214,7 +219,7 @@ def test_a_git_that_cannot_start_is_named_as_such(
     monkeypatch.setenv("PATH", str(no_git))
     calls = [
         lambda: resolve_revision(repo),
-        lambda: list(read_log(revision)),
+        lambda: _commits(revision),
         lambda: run(AnalysisConfig(repo_path=str(repo))),
     ]
     for call in calls:
@@ -253,8 +258,9 @@ def test_a_log_that_fails_partway_raises_with_gits_stderr(tmp_path):
     (builder.path / ".git" / "objects" / lost[:2] / lost[2:]).unlink()
     seen = []
     with pytest.raises(GitInvocationFailed) as failure:
-        for commit in read_log(resolve_revision(builder.path)):
-            seen.append(commit)
+        with read_log(resolve_revision(builder.path)) as commits:
+            for commit in commits:
+                seen.append(commit)
     assert failure.value.command.startswith("git log")
     assert lost in failure.value.stderr
     assert 0 < len(seen) <= 50
@@ -300,7 +306,7 @@ def test_a_full_stderr_does_not_stall_the_log(fake_git, single_author_repo):
         f'sys.stdout.write("{_RECORD}")'
     )
     began = time.monotonic()
-    (commit,) = read_log(revision)
+    (commit,) = _commits(revision)
     assert time.monotonic() - began < 10  # git was never blocked on stderr
     addition = ("A", "a.py", None)
     assert commit == Commit("c" * 40, RawUser("Cy", "c@x"), [addition])
@@ -314,7 +320,7 @@ def test_a_malformed_record_stops_git(fake_git, single_author_repo):
     )
     began = time.monotonic()
     with pytest.raises(GitInvocationFailed, match="malformed change 'M'"):
-        list(read_log(revision))
+        _commits(revision)
     assert time.monotonic() - began < 10  # git was stopped, not waited for
     assert _log_process(started).poll() is not None
 
@@ -332,7 +338,7 @@ def test_a_git_that_fails_raises_its_stderr_where_its_output_ends(
         f'sys.stdout.write("{out}"); sys.stderr.write("fatal: lost"); sys.exit(1)'
     )
     with pytest.raises(GitInvocationFailed) as failure:
-        list(read_log(revision))
+        _commits(revision)
     assert failure.value.command.startswith("git log")
     assert failure.value.stderr == "fatal: lost"
     assert _log_process(started).poll() is not None
@@ -376,24 +382,24 @@ def test_a_listing_that_fails_stops_the_early_log(
 
 
 def test_a_log_closed_unread_stops_git(fake_git, single_author_repo):
+    # Entering the block starts git; leaving it stops and reaps git, whether
+    # the block read nothing or one commit, and whether it returned or raised.
     revision = resolve_revision(single_author_repo.path)
     started = fake_git(
         f'sys.stdout.write("{_RECORD}"); sys.stdout.flush(); time.sleep(30)'
     )
-    log = read_log(revision)
-    assert _log_process(started).poll() is None  # started by the call alone
-    log.close()
-    assert _log_process(started).poll() is not None
-
-
-def test_a_log_dropped_unread_stops_git(fake_git, single_author_repo):
-    revision = resolve_revision(single_author_repo.path)
-    started = fake_git(
-        f'sys.stdout.write("{_RECORD}"); sys.stdout.flush(); time.sleep(30)'
-    )
-    read_log(revision)
-    gc.collect()  # in case a reference cycle still holds the generator
-    assert _log_process(started).poll() is not None
+    began = time.monotonic()
+    with read_log(revision):
+        assert _log_process(started).poll() is None  # started on entering
+    with pytest.raises(RuntimeError, match="left unread"):
+        with read_log(revision):
+            raise RuntimeError("left unread")
+    with read_log(revision) as commits:
+        assert next(commits).commit_id == "c" * 40
+    assert time.monotonic() - began < 10  # git was stopped, not waited for
+    logs = [proc for proc in started if "log" in proc.args]
+    assert len(logs) == 3
+    assert all(proc.returncode is not None for proc in logs)  # reaped
 
 
 @pytest.mark.skipif(
@@ -403,7 +409,7 @@ def test_a_pipe_that_cannot_be_widened_reads_the_same_log(
     monkeypatch, two_author_repo
 ):
     revision = resolve_revision(two_author_repo.path)
-    commits = list(read_log(revision))
+    commits = _commits(revision)
     refused = []
 
     def refuse(*args):
@@ -411,14 +417,14 @@ def test_a_pipe_that_cannot_be_widened_reads_the_same_log(
         raise PermissionError("pipe quota reached")
 
     monkeypatch.setattr(history.fcntl, "fcntl", refuse)
-    assert list(read_log(revision)) == commits
+    assert _commits(revision) == commits
     assert len(commits) == 7
     assert len(refused) == 1
 
 
 def test_history_reads_a_sha256_repository(tmp_path):
     builder = rf.rename_repo(tmp_path / "sha256", object_format="sha256")
-    commits = list(read_log(resolve_revision(builder.path)))
+    commits = _commits(resolve_revision(builder.path))
     assert [c.changes for c in commits] == [
         [("R", "src/renamed.py", "src/original.py")],
         [("A", "src/original.py", None)],
@@ -430,7 +436,7 @@ def test_history_reads_a_sha256_repository(tmp_path):
 def test_history_keeps_an_author_name_with_a_line_separator(tmp_path):
     builder = rf.RepoBuilder(tmp_path / "u2028")
     builder.commit_file("a.py", "a\n", "add", ("Ann\u2028Lee", "ann@example.com"))
-    (commit,) = read_log(resolve_revision(builder.path))
+    (commit,) = _commits(resolve_revision(builder.path))
     assert commit.author == RawUser("Ann\u2028Lee", "ann@example.com")
 
 
@@ -438,7 +444,7 @@ def test_non_utf8_names_stay_distinct(latin1_repo):
     names = list(rf.LATIN1_FILES)
     revision = resolve_revision(latin1_repo.path)
     assert list_snapshot_files(revision, FilterRules(builtin_vendored=[])) == names
-    commits = list(read_log(revision))
+    commits = _commits(revision)
     assert sorted(path for c in commits for _, path, _ in c.changes) == names
     assert {c.author for c in commits} == {RawUser(*rf.LATIN1_AUTHOR)}
 
@@ -511,7 +517,7 @@ def test_history_and_snapshot_round_trip_through_fast_import(commits):
         planned, final = rf.import_plan(repo, commits)
         ids = rf.commit_ids(repo)
         revision = resolve_revision(repo)
-        log = list(read_log(revision))[::-1]
+        log = _commits(revision)[::-1]
         snapshot = list_snapshot_files(revision, FilterRules(builtin_vendored=[]))
     position = {commit_id: i for i, commit_id in enumerate(ids)}
     got = [
@@ -562,7 +568,8 @@ def test_traces_hold_exactly_the_changes_of_each_file(commits):
         ids = rf.commit_ids(repo)
         revision = resolve_revision(repo)
         snapshot = list_snapshot_files(revision, FilterRules(builtin_vendored=[]))
-        traces = trace_files(read_log(revision), snapshot)
+        with read_log(revision) as commits:
+            traces = trace_files(commits, snapshot)
     assert [trace.current_path for trace in traces] == sorted(final)
     for trace in traces:
         changes = [
@@ -581,7 +588,7 @@ def test_traces_hold_exactly_the_changes_of_each_file(commits):
 
 
 def test_trace_follows_rename_chain(rename_repo):
-    log = read_log(resolve_revision(rename_repo.path))
+    log = _commits(resolve_revision(rename_repo.path))
     (trace,) = trace_files(log, ["src/renamed.py"])
     assert trace.current_path == "src/renamed.py"
     carol, dave = RawUser(*rf.CAROL), RawUser(*rf.DAVE)
@@ -598,7 +605,7 @@ def test_trace_does_not_absorb_a_reused_old_path(tmp_path):
     builder.move("a.txt", "b.txt", "rename a to b", rf.ALICE)
     builder.commit_file("a.txt", "completely different\n", "new a", rf.BOB)
     builder.commit_file("a.txt", "completely different\nplus\n", "touch new a", rf.BOB)
-    log = read_log(resolve_revision(builder.path))
+    log = _commits(resolve_revision(builder.path))
     b_trace, a_trace = trace_files(log, ["b.txt", "a.txt"])
     alice, bob = RawUser(*rf.ALICE), RawUser(*rf.BOB)
     assert b_trace.deliveries == {alice: 2}
@@ -621,7 +628,7 @@ def test_a_rename_to_a_path_that_is_not_live_ends_the_old_paths_trace(tmp_path):
     builder.commit_file("X.py", "new\n", "merge side with a new X", rf.DAVE)
     builder.git("rm", "-q", "Y.py")
     builder.git("commit", "-q", "-m", "drop Y", user=rf.CAROL)
-    (trace,) = trace_files(read_log(resolve_revision(builder.path)), ["X.py"])
+    (trace,) = trace_files(_commits(resolve_revision(builder.path)), ["X.py"])
     assert trace.deliveries == {}
     assert trace.creator is None
 
@@ -634,15 +641,15 @@ def test_trace_of_unknown_target_is_empty_and_incomplete():
 
 def test_traces_come_back_in_target_order(two_author_repo):
     targets = ["f4.py", "f1.py", "f3.py"]
-    traces = trace_files(read_log(resolve_revision(two_author_repo.path)), targets)
+    traces = trace_files(_commits(resolve_revision(two_author_repo.path)), targets)
     assert [t.current_path for t in traces] == targets
 
 
 def test_each_change_is_delivered_to_one_trace(two_author_repo):
     revision = resolve_revision(two_author_repo.path)
-    changes = [(c.author, path) for c in read_log(revision) for _, path, _ in c.changes]
+    changes = [(c.author, path) for c in _commits(revision) for _, path, _ in c.changes]
     targets = ["f1.py", "f2.py", "f3.py", "f4.py"]
-    traces = trace_files(read_log(revision), targets)
+    traces = trace_files(_commits(revision), targets)
     for trace in traces:
         at_path = [author for author, path in changes if path == trace.current_path]
         assert trace.deliveries == Counter(at_path)

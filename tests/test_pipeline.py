@@ -432,6 +432,33 @@ def test_user_git_config_does_not_change_the_report(tmp_path, monkeypatch, key, 
     assert _json_report(repo.path, blame_compare=True) == expected
 
 
+def test_replace_refs_follow_the_variable_not_the_users_config(
+    tmp_path, monkeypatch
+):
+    # Alice adds three files, one per commit; Bob imports them in one orphan
+    # commit, and a replace ref grafts Alice's history under the import.
+    repo = rf.RepoBuilder(tmp_path / "grafted")
+    for i in range(3):
+        repo.commit_file(f"f{i}.py", f"x = {i}\n", f"add f{i}", rf.ALICE)
+    old_tip = repo.head()
+    repo.git("checkout", "-q", "--orphan", "import")
+    repo.git("commit", "-q", "-m", "import", user=rf.BOB)
+    repo.git("replace", "--graft", repo.head(), old_tip)
+
+    def answer():
+        report = run(AnalysisConfig(repo_path=str(repo.path)))
+        return [row.developer for row in report.removed], report.totals["commits"]
+
+    assert answer() == (["Alice"], 4)
+    monkeypatch.setenv("GIT_CONFIG_COUNT", "1")
+    monkeypatch.setenv("GIT_CONFIG_KEY_0", "core.useReplaceRefs")
+    monkeypatch.setenv("GIT_CONFIG_VALUE_0", "false")
+    assert answer() == (["Alice"], 4)  # a user's config does not turn them off
+    monkeypatch.setenv("GIT_CONFIG_VALUE_0", "true")
+    monkeypatch.setenv("GIT_NO_REPLACE_OBJECTS", "1")
+    assert answer() == (["Bob"], 1)  # the variable does, whatever the config
+
+
 def test_a_move_of_more_files_than_the_default_rename_limit_keeps_authorship(
     tmp_path,
 ):

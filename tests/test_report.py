@@ -160,6 +160,18 @@ def test_text_shows_the_factor_and_removal_order():
     assert "Bob.Rob" in text
 
 
+@pytest.mark.parametrize("failures", [2, 0])
+def test_text_names_blame_failures_only_when_there_are_some(failures):
+    report = full_report()
+    report.blame_agreement = BlameAgreement(4, 5, 80.0, 100.0, 0.0, failures, 0)
+    lines = emit(report, "text").decode().splitlines()
+    top = lines.index("  top-1 match: 80.0%  top-3 match: 100.0%  no match: 0.0%")
+    if failures:
+        assert lines[top + 1] == "  blame failures: 2"
+    else:
+        assert not any("blame failures" in line for line in lines)
+
+
 def test_text_flags_low_initial_coverage():
     text = emit(degenerate_report(), "text").decode()
     assert "truck factor: 0" in text
