@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cache
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -56,18 +55,12 @@ class AuthorshipRecord(NamedTuple):
     doa_norm: float
 
 
-@dataclass
-class AuthorFileMap:
+class AuthorFileMap(dict[DeveloperId, set[str]]):
     """Authors and the files they author; the input to the greedy estimator."""
-
-    entries: dict[DeveloperId, set[str]] = field(default_factory=dict)
 
     # Read only by perfbench/tracer.py; see ROADMAP item 3.
     def all_files(self) -> set[str]:
-        out: set[str] = set()
-        for files in self.entries.values():
-            out |= files
-        return out
+        return set().union(*self.values())
 
 
 @cache
@@ -145,7 +138,7 @@ def select_authors(
     file, passing developers are added in :func:`score_trace`'s order, so
     the map's keys come in the order its records would give them.
     """
-    entries: dict[DeveloperId, set[str]] = {}
+    authors = AuthorFileMap()
     for trace in traces:
         scored, top = _score_file(trace, alias_map)
         passing = [
@@ -156,8 +149,8 @@ def select_authors(
         if len(passing) > 1:
             passing.sort(key=attrgetter("canonical_name"))
         for dev in passing:
-            entries.setdefault(dev, set()).add(trace.current_path)
-    return AuthorFileMap(entries)
+            authors.setdefault(dev, set()).add(trace.current_path)
+    return authors
 
 
 def blame_rank(

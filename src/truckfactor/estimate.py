@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import AbstractSet, Iterable, Mapping
 
-from .authorship import AuthorFileMap
+from .identity import DeveloperId
 from .report import RemovedAuthor
 
 
@@ -29,7 +29,7 @@ class TruckFactorResult:
 
 
 def truck_factor(
-    author_map: AuthorFileMap,
+    author_map: Mapping[DeveloperId, AbstractSet[str]],
     threshold: float = 0.5,
     universe: Iterable[str] | None = None,
 ) -> TruckFactorResult:
@@ -45,7 +45,7 @@ def truck_factor(
     canonical name. A per-file count of remaining authors tells when a file
     loses its last one.
     """
-    holders = Counter(f for authored in author_map.entries.values() for f in authored)
+    holders = Counter(f for authored in author_map.values() for f in authored)
     # The authored files are the counter's keys; a count that falls to zero
     # keeps its key.
     files = frozenset(universe) if universe is not None else holders.keys()
@@ -54,7 +54,7 @@ def truck_factor(
     covered = len(files & holders.keys())
     initial = covered / len(files)
     order = sorted(
-        author_map.entries.items(),
+        author_map.items(),
         key=lambda entry: (-len(entry[1]), entry[0].canonical_name),
     )
     removed: list[RemovedAuthor] = []

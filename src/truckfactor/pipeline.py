@@ -15,7 +15,7 @@ import tempfile
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping
 
 from . import authorship, estimate, history, identity
 from .errors import BlameFailed
@@ -152,7 +152,7 @@ def _changed_path_graph(
 def _blame_agreement(
     revision: history.Revision,
     targets: list[str],
-    author_map: authorship.AuthorFileMap,
+    author_map: Mapping[identity.DeveloperId, AbstractSet[str]],
     alias_map: dict[identity.RawUser, identity.DeveloperId],
     seed: int,
     graph: Callable[[], dict[str, str]],
@@ -184,7 +184,7 @@ def _blame_agreement(
         rankings = zip(sample, executor.map(rank, sample))
         ranked = {file: devs for file, devs in rankings if devs is not None}
     top1 = top3 = none = pairs = 0
-    for author, files in author_map.entries.items():
+    for author, files in author_map.items():
         for file in files & ranked.keys():
             pairs += 1
             top1 += author in ranked[file][:1]
@@ -278,7 +278,7 @@ def run(config: AnalysisConfig) -> Report:
     developers = set(alias_map.values())  # resolve_aliases raises on none
     totals = {
         "developers": len(developers),
-        "authors": len(author_map.entries),
+        "authors": len(author_map),
         "files": len(targets),
         "commits": sum(commit_counts.values()),
     }
@@ -294,7 +294,7 @@ def run(config: AnalysisConfig) -> Report:
         file_universe_size=result.file_universe_size,
         low_initial_coverage=low_initial,
         removed=result.removed,
-        author_ratio=len(author_map.entries) / len(developers),
+        author_ratio=len(author_map) / len(developers),
         totals=totals,
         migration=migration,
         blame_agreement=blame,

@@ -5,6 +5,8 @@ import math
 import unicodedata
 from collections import Counter, defaultdict
 
+from truckfactor.identity import DeveloperId, RawUser
+
 
 def levenshtein(a: str, b: str) -> int:
     """Minimum number of single-character edits (insert, delete, substitute)
@@ -33,6 +35,32 @@ def levenshtein(a: str, b: str) -> int:
 def fold(name: str) -> str:
     """A name or email as the identity rules compare it."""
     return unicodedata.normalize("NFC", name).strip().casefold()
+
+
+def dev(name: str) -> DeveloperId:
+    """The developer ``name`` with the one identity
+    ``name <lower-cased name@example.com>``."""
+    return DeveloperId(name, frozenset({RawUser(name, f"{name.lower()}@example.com")}))
+
+
+def naive_truck_factor(author_map, threshold=0.5, universe=None) -> int:
+    """The greedy removal of the paper, step 5, kept deliberately dumb:
+    recompute everything each round, remove the author with the most files
+    (ties to the smallest canonical name), stop when the coverage of
+    ``universe`` (by default every authored file) drops below the
+    threshold."""
+    authors = {developer: set(files) for developer, files in author_map.items()}
+    if universe is None:
+        universe = set().union(*authors.values())
+    tf = 0
+    while authors and universe:
+        covered = set().union(*authors.values())
+        if len(covered & universe) / len(universe) < threshold:
+            break
+        top = min(authors, key=lambda d: (-len(authors[d]), d.canonical_name))
+        del authors[top]
+        tf += 1
+    return tf
 
 
 def doa(fa: int, dl: int, ac: int) -> float:

@@ -12,8 +12,8 @@ import time
 import pytest
 
 import repo_fixtures as rf
-from reference import levenshtein
-from truckfactor.authorship import AuthorFileMap, doa, score_trace, select_authors
+from reference import dev, levenshtein, naive_truck_factor
+from truckfactor.authorship import doa, score_trace, select_authors
 from truckfactor.estimate import truck_factor
 from truckfactor.history import (
     list_snapshot_files,
@@ -21,7 +21,7 @@ from truckfactor.history import (
     resolve_revision,
     trace_files,
 )
-from truckfactor.identity import DeveloperId, RawUser, resolve_aliases
+from truckfactor.identity import RawUser, resolve_aliases
 from truckfactor.pipeline import AnalysisConfig, run
 from truckfactor.report import emit
 
@@ -75,35 +75,6 @@ def test_authorship_score_numeric_suite():
 # --- criterion: greedy estimator vs naive transcription ----------------------
 
 
-def _naive_truck_factor(entries, threshold=0.5):
-    authors = {name: set(files) for name, files in entries.items()}
-    universe = set()
-    for files in authors.values():
-        universe |= files
-    tf = 0
-    while authors:
-        if not universe:
-            break
-        covered = set()
-        for files in authors.values():
-            covered |= files
-        if len(covered & universe) / len(universe) < threshold:
-            break
-        top = min(authors, key=lambda name: (-len(authors[name]), name))
-        del authors[top]
-        tf += 1
-    return tf
-
-
-def _as_author_map(entries):
-    return AuthorFileMap(
-        {
-            DeveloperId(name, frozenset({RawUser(name, f"{name}@x")})): set(files)
-            for name, files in entries.items()
-        }
-    )
-
-
 def test_greedy_estimator_matches_naive_simulation():
     failures = []
     try:
@@ -111,14 +82,14 @@ def test_greedy_estimator_matches_naive_simulation():
         rng = random.Random(20_260_815)
         files = [f"f{i}" for i in range(12)]
         for case in range(1000):
-            entries = {
-                f"dev{i}": set(rng.sample(files, rng.randint(1, 12)))
+            author_map = {
+                dev(f"dev{i}"): set(rng.sample(files, rng.randint(1, 12)))
                 for i in range(rng.randint(1, 8))
             }
-            expected = _naive_truck_factor(entries)
-            actual = len(truck_factor(_as_author_map(entries)).removed)
+            expected = naive_truck_factor(author_map)
+            actual = len(truck_factor(author_map).removed)
             if actual != expected:
-                failures.append(f"case {case}: got {actual}, naive says {expected}: {entries}")
+                failures.append(f"case {case}: got {actual}, naive says {expected}: {author_map}")
                 break
         elapsed = time.perf_counter() - started
         _check(failures, elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s")
@@ -175,7 +146,7 @@ def test_fixture_repositories_end_to_end(tmp_path):
         author_map = select_authors(traces, alias_map)
         _check(
             failures,
-            {d.canonical_name: files for d, files in author_map.entries.items()}
+            {d.canonical_name: files for d, files in author_map.items()}
             == {"Carol": {"src/renamed.py"}},
             "(c) renamed file should have exactly its creator as author",
         )
@@ -271,7 +242,7 @@ def test_raising_k_never_enlarges_the_author_set(tmp_path):
         while k <= 0.99 + 1e-9:
             entries = {
                 dev: set(files)
-                for dev, files in select_authors(traces, alias_map, k=k).entries.items()
+                for dev, files in select_authors(traces, alias_map, k=k).items()
             }
             if previous is not None:
                 for dev, files in entries.items():
@@ -289,7 +260,7 @@ def test_raising_k_never_enlarges_the_author_set(tmp_path):
         strict = select_authors(traces, alias_map, k=0.99)
         _check(
             failures,
-            {d.canonical_name: files for d, files in strict.entries.items()}
+            {d.canonical_name: files for d, files in strict.items()}
             == {"Alice": {"f1.py", "f2.py", "f3.py"}, "Bob": {"f4.py"}},
             "at k=0.99 the shared file should keep only its dominant author",
         )

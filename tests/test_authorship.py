@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repo_fixtures as rf
+from reference import dev
 from truckfactor import authorship
 from truckfactor.authorship import (
     AuthorshipRecord,
@@ -26,10 +27,6 @@ from truckfactor.history import (
     trace_files,
 )
 from truckfactor.identity import DeveloperId, RawUser, resolve_aliases
-
-
-def dev(name):
-    return DeveloperId(name, frozenset({RawUser(name, f"{name.lower()}@example.com")}))
 
 
 def make_trace(path, *steps):
@@ -280,13 +277,13 @@ def test_select_authors_applies_both_thresholds():
         ("Bob", "M"),
     )
     author_map = select_authors([trace], alias_map)
-    assert author_map.entries == {dev("Alice"): {"f3.py"}, dev("Bob"): {"f3.py"}}
+    assert author_map == {dev("Alice"): {"f3.py"}, dev("Bob"): {"f3.py"}}
     # Bob's normalized score (~0.87) fails a stricter k.
     strict = select_authors([trace], alias_map, k=0.99)
-    assert strict.entries == {dev("Alice"): {"f3.py"}}
+    assert strict == {dev("Alice"): {"f3.py"}}
     # ... and his absolute score (~3.56) fails a higher floor.
     floored = select_authors([trace], alias_map, m=3.6)
-    assert floored.entries == {dev("Alice"): {"f3.py"}}
+    assert floored == {dev("Alice"): {"f3.py"}}
 
 
 def test_select_authors_normalized_top_still_needs_absolute_floor():
@@ -297,15 +294,15 @@ def test_select_authors_normalized_top_still_needs_absolute_floor():
         ("Yuri", "M"),
     )
     assert [r.doa_norm for r in score_trace(trace, alias_map)] == [1.0, 1.0]
-    assert select_authors([trace], alias_map).entries == {}
+    assert select_authors([trace], alias_map) == {}
     floored = select_authors([trace], alias_map, m=3.2)
-    assert floored.entries.keys() == {dev("Xena"), dev("Yuri")}
+    assert floored.keys() == {dev("Xena"), dev("Yuri")}
 
 
 def test_select_authors_skips_files_without_positive_scores():
     trace, alias_map = crowded_trace("f.py")
     # Even a floor that every score clears leaves the file authorless.
-    assert select_authors([trace], alias_map, m=-1.0).entries == {}
+    assert select_authors([trace], alias_map, m=-1.0) == {}
 
 
 @given(st.data())
@@ -324,8 +321,8 @@ def test_select_authors_shrinks_as_k_grows(data):
     k2 = data.draw(st.floats(min_value=k1, max_value=0.999), label="k2")
     lax = select_authors(traces, alias_map, k=k1)
     strict = select_authors(traces, alias_map, k=k2)
-    for developer, files_authored in strict.entries.items():
-        assert files_authored <= lax.entries.get(developer, set())
+    for developer, files_authored in strict.items():
+        assert files_authored <= lax.get(developer, set())
 
 
 @cache
@@ -414,7 +411,7 @@ def test_select_authors_equals_the_cut_of_score_trace_records(inputs):
         for r in (crowd_records if t is crowded else score_trace(t, alias_map))
     ]
     got = select_authors(traces, alias_map, k=k, m=m)
-    assert list(got.entries.items()) == cut(records, k, m)
+    assert list(got.items()) == cut(records, k, m)
 
 
 # --- blame_rank --------------------------------------------------------------

@@ -18,13 +18,12 @@ import pytest
 
 import repo_fixtures as rf
 import truckfactor
+from reference import dev
 from truckfactor import authorship, history, pipeline
-from truckfactor.authorship import AuthorFileMap
 from truckfactor.cli import main
 from truckfactor.errors import BlameFailed, GitInvocationFailed
 from truckfactor.filters import FilterRules
 from truckfactor.history import Revision
-from truckfactor.identity import DeveloperId, RawUser
 from truckfactor.pipeline import AnalysisConfig, run
 from truckfactor.report import emit
 
@@ -219,15 +218,12 @@ def test_blame_comparison_on_single_author_repo(single_author_repo):
 
 
 def test_blame_pool_tallies_like_a_sequential_loop(monkeypatch):
-    developers = [
-        DeveloperId(name, frozenset({RawUser(name, f"{name}@example.com")}))
-        for name in "ABCDE"
-    ]
+    developers = [dev(name) for name in "ABCDE"]
     files = [f"f{i:02d}.py" for i in range(40)]
-    author_map = AuthorFileMap(defaultdict(set))
+    author_map = defaultdict(set)
     for i, file in enumerate(files):
         for step in (0, 1, 2):
-            author_map.entries[developers[(i + step) % 5]].add(file)
+            author_map[developers[(i + step) % 5]].add(file)
     lock = threading.Lock()
     running = peak = 0
     blamed = []
