@@ -375,10 +375,11 @@ def read_log(revision: Revision) -> Iterator[Iterator[Commit]]:
     the system allows, so git is not stopped by a full pipe meanwhile.
     git's stderr goes to a temporary file, so it can never fill up while
     its stdout is being read. Leaving the block, read or not, by return or
-    by exception, stops git, so the commits are read inside it. When git
-    fails, :class:`PartialClone` or :class:`GitInvocationFailed`, carrying
-    git's stderr, is raised where git's output ends; the commits yielded
-    before it stay valid.
+    by exception, stops git, so the commits are read inside it; reading on
+    after the block has been left raises :class:`TruckFactorError`, which
+    says so. When git fails, :class:`PartialClone` or
+    :class:`GitInvocationFailed`, carrying git's stderr, is raised where
+    git's output ends; the commits yielded before it stay valid.
     """
     args = [
         "log",
@@ -394,13 +395,20 @@ def read_log(revision: Revision) -> Iterator[Iterator[Commit]]:
     ) as proc:
 
         def chunks() -> Iterator[bytes]:
-            while chunk := proc.stdout.read1(_CHUNK_BYTES):
+            while not proc.stdout.closed:  # closed once the block is left
+                chunk = proc.stdout.read1(_CHUNK_BYTES)
+                if not chunk:
+                    # raised here, before the parser sees a failed git's cut-off end
+                    if proc.wait() != 0:
+                        errors.seek(0)
+                        message = errors.read().decode("utf-8", "replace").strip()
+                        raise _failure(revision.git_dir, args, message)
+                    return
                 yield chunk
-            # raised here, before the parser sees a failed git's cut-off end
-            if proc.wait() != 0:
-                errors.seek(0)
-                message = errors.read().decode("utf-8", "replace").strip()
-                raise _failure(revision.git_dir, args, message)
+            raise TruckFactorError(
+                "read_log's commits were read after its with block was left; "
+                "read them inside the block"
+            )
 
         _widen(proc.stdout)
         yield parse_log(chunks())

@@ -82,7 +82,7 @@ MUTANTS = [
         "src/truckfactor/history.py",
         "rules.matches(path)",
         "rules.matches(path.lower())",
-        "killed",  # survives until ROADMAP item 14 adds a case-sensitive test
+        "killed",
     ),
     Mutant(
         "leading-slash-unanchored",
@@ -103,6 +103,13 @@ MUTANTS = [
         "src/truckfactor/history.py",
         "if proc.wait() != 0:",
         "if proc.wait() < 0:",
+        "killed",
+    ),
+    Mutant(
+        "log-read-after-the-block",
+        "src/truckfactor/history.py",
+        "while not proc.stdout.closed:",
+        "while True:",
         "killed",
     ),
     Mutant(

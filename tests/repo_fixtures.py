@@ -25,6 +25,17 @@ FRANK = ("Frank", "frank@example.com")
 ZOE = ("Zo\u00eb", "zoe@example.com")
 LATIN1_AUTHOR = ("Jos\udce9", "jose@example.com")  # the name's bytes: b"Jos\xe9"
 LATIN1_FILES = ("caf\udce9.py", "caf\udcef.py", "main.py", "util.py")
+CASE_VARIANTS = (
+    "Vendor/a.c",
+    "ThirdParty/a.c",
+    "Docs/x.py",
+    "Documentation/a.c",
+    "img/a.PNG",
+    "A.MIN.JS",
+    "README.MD",
+    "LICENSE",
+    "COPYING",
+)
 
 
 class RepoBuilder:
@@ -129,6 +140,19 @@ def vendored_repo(path: Path, object_format: str = "sha1") -> RepoBuilder:
     return builder
 
 
+def case_variant_repo(path: Path, object_format: str = "sha1") -> RepoBuilder:
+    """Upper- and mixed-case spellings of vendored, documentation, image,
+    bundle and prose paths, each added by Alice, next to two source files
+    by Bob. The built-in rules match case, so only the lower-case spellings
+    of these paths would be dropped."""
+    builder = RepoBuilder(path, object_format)
+    for name in CASE_VARIANTS:
+        builder.commit_file(name, f"{name}\n", f"add {name}", ALICE)
+    builder.commit_file("src/main.c", "int main;\n", "add main", BOB)
+    builder.commit_file("src/util.c", "int util;\n", "add util", BOB)
+    return builder
+
+
 def bulk_import_repo(path: Path, object_format: str = "sha1") -> RepoBuilder:
     """Ten files landing in a single commit, then one small tweak."""
     builder = RepoBuilder(path, object_format)
@@ -178,6 +202,21 @@ def branched_repo(path: Path, object_format: str = "sha1") -> RepoBuilder:
     builder.git("checkout", "-q", "-b", "dev")
     builder.commit_file("d.txt", "d\n", "add d", ALICE)
     builder.git("checkout", "-q", "main")
+    return builder
+
+
+def grafted_repo(path: Path, object_format: str = "sha1") -> RepoBuilder:
+    """Alice adds f0-f2, one per commit; Bob imports them in one orphan
+    commit on the branch "import", which HEAD names, and a replace ref
+    grafts Alice's history under the import. git follows the replacement
+    unless ``GIT_NO_REPLACE_OBJECTS`` is set."""
+    builder = RepoBuilder(path, object_format)
+    for i in range(3):
+        builder.commit_file(f"f{i}.py", f"x = {i}\n", f"add f{i}", ALICE)
+    old_tip = builder.head()
+    builder.git("checkout", "-q", "--orphan", "import")
+    builder.git("commit", "-q", "-m", "import", user=BOB)
+    builder.git("replace", "--graft", builder.head(), old_tip)
     return builder
 
 

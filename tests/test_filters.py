@@ -166,8 +166,15 @@ def test_default_rules_read_paths_with_newlines():
 def test_builtin_patterns_load_from_package_data():
     patterns = builtin_patterns()
     assert patterns
-    assert "vendor/**" in patterns
+    assert "**/vendor/**" in patterns
     assert all(not p.startswith("#") for p in patterns)
+
+
+def test_each_builtin_rule_is_said_once():
+    # "**/" spans no directory too, so a rule "**/p" matches every path "p" does.
+    patterns = builtin_patterns()
+    assert len(set(patterns)) == len(patterns)
+    assert [p for p in patterns if f"**/{p}" in patterns] == []
 
 
 def test_pattern_and_path_files_share_the_line_format(tmp_path):

@@ -12,7 +12,12 @@ from hypothesis import example, given, settings
 
 import repo_fixtures as rf
 from truckfactor import history
-from truckfactor.errors import EmptyRepository, GitInvocationFailed, NotARepository
+from truckfactor.errors import (
+    EmptyRepository,
+    GitInvocationFailed,
+    NotARepository,
+    TruckFactorError,
+)
 from truckfactor.filters import FilterRules
 from truckfactor.history import (
     Commit,
@@ -400,6 +405,18 @@ def test_a_log_closed_unread_stops_git(fake_git, single_author_repo):
     logs = [proc for proc in started if "log" in proc.args]
     assert len(logs) == 3
     assert all(proc.returncode is not None for proc in logs)  # reaped
+
+
+@pytest.mark.parametrize("read_inside", [0, 1])
+def test_commits_read_after_the_block_raise_an_error_that_names_it(
+    two_author_repo, read_inside
+):
+    revision = resolve_revision(two_author_repo.path)
+    with read_log(revision) as commits:
+        inside = [next(commits) for _ in range(read_inside)]
+    assert inside == _commits(revision)[:read_inside]
+    with pytest.raises(TruckFactorError, match="after its with block was left"):
+        list(commits)
 
 
 @pytest.mark.skipif(

@@ -431,15 +431,7 @@ def test_user_git_config_does_not_change_the_report(tmp_path, monkeypatch, key, 
 def test_replace_refs_follow_the_variable_not_the_users_config(
     tmp_path, monkeypatch
 ):
-    # Alice adds three files, one per commit; Bob imports them in one orphan
-    # commit, and a replace ref grafts Alice's history under the import.
-    repo = rf.RepoBuilder(tmp_path / "grafted")
-    for i in range(3):
-        repo.commit_file(f"f{i}.py", f"x = {i}\n", f"add f{i}", rf.ALICE)
-    old_tip = repo.head()
-    repo.git("checkout", "-q", "--orphan", "import")
-    repo.git("commit", "-q", "-m", "import", user=rf.BOB)
-    repo.git("replace", "--graft", repo.head(), old_tip)
+    repo = rf.grafted_repo(tmp_path / "grafted")
 
     def answer():
         report = run(AnalysisConfig(repo_path=str(repo.path)))
